@@ -8,7 +8,7 @@
 //! fallback, so nothing escapes by being unrecognized.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use confanon_asnanon::rewrite::{rewrite_aspath_regex_full, rewrite_community_regex_full};
 use confanon_asnanon::{AsnMap, CommunityMap, LargeCommunityMap, RewriteOptions};
@@ -143,7 +143,7 @@ pub struct Anonymizer {
     /// These are the principled exclusion set for the §6.1 scanner: a
     /// *leak* is an original value surviving, not an image coinciding
     /// with one.
-    emitted: std::collections::BTreeSet<String>,
+    emitted: BTreeSet<String>,
     total_stats: AnonymizationStats,
     /// `true` in the normal (emit) mode; `false` during a discovery pass,
     /// where output assembly and the stateless token hashes are skipped
@@ -175,6 +175,51 @@ pub struct Anonymizer {
     /// node-for-node (mappings are sticky, so the trie is a function of
     /// the first-insertion sequence alone).
     journal: IdJournal,
+    /// The open transaction's rollback point, if any (see
+    /// [`Anonymizer::begin`]).
+    txn: Option<Checkpoint>,
+    /// Leak-record items first seen inside the open transaction (empty
+    /// outside one).
+    pending_record: LeakRecord,
+    /// Emitted images first seen inside the open transaction.
+    pending_emitted: BTreeSet<String>,
+}
+
+/// One of the four accumulator sets a request can grow: the leak
+/// record's three sets and the emitted-image exclusion set.
+#[derive(Clone, Copy)]
+enum Acc {
+    Asn,
+    Ip,
+    Word,
+    Emitted,
+}
+
+impl Acc {
+    fn of<'s>(
+        self,
+        record: &'s mut LeakRecord,
+        emitted: &'s mut BTreeSet<String>,
+    ) -> &'s mut BTreeSet<String> {
+        match self {
+            Acc::Asn => &mut record.asns,
+            Acc::Ip => &mut record.ips,
+            Acc::Word => &mut record.words,
+            Acc::Emitted => emitted,
+        }
+    }
+}
+
+/// The rollback point of an open in-place transaction (see
+/// [`Anonymizer::begin`]).
+#[derive(Clone)]
+struct Checkpoint {
+    trie4_nodes: usize,
+    trie6_nodes: usize,
+    journal_len: usize,
+    total_stats: AnonymizationStats,
+    prefilter_stats: PrefilterStats,
+    rewrite_stats: RewriteStats,
 }
 
 /// The identifier journal: distinct mapped addresses in first-mapped
@@ -194,6 +239,16 @@ impl IdJournal {
         };
         if fresh {
             self.order.push(obs);
+        }
+    }
+
+    /// Forgets every entry past the first `len` (transaction rollback).
+    fn truncate(&mut self, len: usize) {
+        for obs in self.order.drain(len.min(self.order.len())..) {
+            match obs {
+                ObservedIp::V4(ip) => self.seen4.remove(&ip.0),
+                ObservedIp::V6(ip) => self.seen6.remove(&ip.0),
+            };
         }
     }
 }
@@ -219,7 +274,7 @@ impl Anonymizer {
             community,
             large_community,
             record: LeakRecord::default(),
-            emitted: std::collections::BTreeSet::new(),
+            emitted: BTreeSet::new(),
             total_stats: AnonymizationStats::default(),
             emit: true,
             line_cache: LineClassCache::default(),
@@ -228,6 +283,9 @@ impl Anonymizer {
             rewrite_stats: RewriteStats::default(),
             observe: None,
             journal: IdJournal::default(),
+            txn: None,
+            pending_record: LeakRecord::default(),
+            pending_emitted: BTreeSet::new(),
         }
     }
 
@@ -253,6 +311,31 @@ impl Anonymizer {
     /// describes.
     pub fn emitted_exclusions(&self) -> Vec<String> {
         self.emitted.iter().cloned().collect()
+    }
+
+    /// The emitted-image exclusion set itself, borrowed (see
+    /// [`Anonymizer::emitted_exclusions`]).
+    pub fn emitted(&self) -> &BTreeSet<String> {
+        &self.emitted
+    }
+
+    /// Adds `value` to one accumulator set. Outside a transaction it
+    /// goes straight into the resident set; inside one it goes into the
+    /// transaction's pending delta unless the resident set already
+    /// holds it, so the delta is exactly what the request added.
+    fn note<S: AsRef<str> + Into<String>>(&mut self, which: Acc, value: S) {
+        let resident = which.of(&mut self.record, &mut self.emitted);
+        if self.txn.is_none() {
+            resident.insert(value.into());
+            return;
+        }
+        if resident.contains(value.as_ref()) {
+            return;
+        }
+        let pending = which.of(&mut self.pending_record, &mut self.pending_emitted);
+        if !pending.contains(value.as_ref()) {
+            pending.insert(value.into());
+        }
     }
 
     /// Aggregate statistics across every config processed so far.
@@ -696,7 +779,7 @@ impl Anonymizer {
                     stats.fire(RuleId::R18DialerStrings);
                     stats.phone_numbers_mapped += 1;
                     let image = self.map_phone(texts[2]);
-                    self.emitted.insert(image.clone());
+                    self.note(Acc::Emitted, image.as_str());
                     out[2] = Some(image);
                 }
             ["ntp", "server", ..] | ["logging", "host", ..] | ["tacacs-server", "host", ..]
@@ -740,10 +823,10 @@ impl Anonymizer {
         stats.fire(rule);
         stats.asns_mapped += 1;
         if confanon_asnanon::map::is_public(asn) {
-            self.record.asns.insert(asn.to_string());
+            self.note(Acc::Asn, asn.to_string());
         }
         let image = self.asn_map().map(asn).to_string();
-        self.emitted.insert(image.clone());
+        self.note(Acc::Emitted, image.as_str());
         out[i] = Some(image);
     }
 
@@ -759,7 +842,7 @@ impl Anonymizer {
         let value: u16 = v.parse().ok()?;
         stats.communities_mapped += 1;
         if confanon_asnanon::map::is_public(asn) {
-            self.record.asns.insert(asn.to_string());
+            self.note(Acc::Asn, asn.to_string());
         }
         let ma = self.asn_map().map(asn);
         let mv = if self.enabled(RuleId::R27CommunityValueHashing) {
@@ -768,8 +851,8 @@ impl Anonymizer {
         } else {
             value
         };
-        self.emitted.insert(ma.to_string());
-        self.emitted.insert(mv.to_string());
+        self.note(Acc::Emitted, ma.to_string());
+        self.note(Acc::Emitted, mv.to_string());
         Some(format!("{ma}:{mv}"))
     }
 
@@ -806,7 +889,7 @@ impl Anonymizer {
                 // named (R28): the pre-image language of its atoms.
                 if self.enabled(RuleId::R28LeakHighlighting) {
                     for asn in &r.public_asns_named {
-                        self.record.asns.insert(asn.to_string());
+                        self.note(Acc::Asn, asn.to_string());
                     }
                 }
                 stats.regexps_rewritten += 1;
@@ -817,7 +900,7 @@ impl Anonymizer {
                     if c.is_ascii_digit() {
                         run.push(c);
                     } else if !run.is_empty() {
-                        self.emitted.insert(std::mem::take(&mut run));
+                        self.note(Acc::Emitted, std::mem::take(&mut run));
                     }
                 }
                 out[from] = Some(r.pattern);
@@ -950,9 +1033,9 @@ impl Anonymizer {
     /// lowercase and present (the common repeat case on the hot path).
     fn record_alpha(&mut self, a: &str) {
         if a.bytes().any(|b| b.is_ascii_uppercase()) {
-            self.record.words.insert(a.to_ascii_lowercase());
+            self.note(Acc::Word, a.to_ascii_lowercase());
         } else if !self.record.words.contains(a) {
-            self.record.words.insert(a.to_string());
+            self.note(Acc::Word, a);
         }
     }
 
@@ -1023,11 +1106,11 @@ impl Anonymizer {
                     stats.communities_mapped += 1;
                     if let Some(ga) = tok.split(':').next() {
                         if ga.parse::<u32>().is_ok_and(confanon_asnanon::is_public32) {
-                            self.record.asns.insert(ga.to_string());
+                            self.note(Acc::Asn, ga);
                         }
                     }
                     for field in mapped.split(':') {
-                        self.emitted.insert(field.to_string());
+                        self.note(Acc::Emitted, field);
                     }
                     return Some(mapped);
                 }
@@ -1188,11 +1271,11 @@ impl Anonymizer {
                         .parse::<u32>()
                         .is_ok_and(confanon_asnanon::is_public32)
                     {
-                        self.record.asns.insert(ga.to_string());
+                        self.note(Acc::Asn, ga);
                     }
                 }
                 for field in mapped.split(':') {
-                    self.emitted.insert(field.to_string());
+                    self.note(Acc::Emitted, field);
                 }
                 return mapped;
             }
@@ -1304,13 +1387,13 @@ impl Anonymizer {
         }
         self.journal.note(ObservedIp::V4(ip));
         if self.enabled(RuleId::R28LeakHighlighting) {
-            self.record.ips.insert(ip.to_string());
+            self.note(Acc::Ip, ip.to_string());
         }
         let image = match self.cfg.ip_scheme {
             IpScheme::StructurePreserving => self.ip.anonymize(ip),
             IpScheme::Scramble => self.scramble.anonymize(ip),
         };
-        self.emitted.insert(image.to_string());
+        self.note(Acc::Emitted, image.to_string());
         image
     }
 }
@@ -1334,10 +1417,10 @@ impl Anonymizer {
         }
         self.journal.note(ObservedIp::V6(ip));
         if self.enabled(RuleId::R28LeakHighlighting) {
-            self.record.ips.insert(ip.to_string());
+            self.note(Acc::Ip, ip.to_string());
         }
         let image = self.ip6.anonymize(ip);
-        self.emitted.insert(image.to_string());
+        self.note(Acc::Emitted, image.to_string());
         image
     }
 
@@ -1349,7 +1432,7 @@ impl Anonymizer {
     pub(crate) fn observer(&self) -> Anonymizer {
         let mut a = self.clone();
         a.record = LeakRecord::default();
-        a.emitted = std::collections::BTreeSet::new();
+        a.emitted = BTreeSet::new();
         a.total_stats = AnonymizationStats::default();
         a.prefilter_stats = PrefilterStats::default();
         a.rewrite_stats = RewriteStats::default();
@@ -1397,9 +1480,9 @@ impl Anonymizer {
             ObservedIp::V6(ip) => (ip.to_string(), self.ip6.anonymize(ip).to_string()),
         };
         if self.enabled(RuleId::R28LeakHighlighting) {
-            self.record.ips.insert(original);
+            self.note(Acc::Ip, original);
         }
-        self.emitted.insert(image);
+        self.note(Acc::Emitted, image);
     }
 
     /// Prefilter fast/slow/cache counters accumulated so far (summed in
@@ -1478,6 +1561,66 @@ impl Anonymizer {
         let b = self.large_community.check_value();
         format!("{a:016x}{b:016x}")
     }
+
+    /// Opens an in-place transaction: everything the anonymizer does
+    /// until [`Anonymizer::commit`] can be undone exactly by
+    /// [`Anonymizer::rollback`].
+    ///
+    /// The checkpoint is O(1) in the mapping state. Tries only append
+    /// nodes and the journal only appends entries, so their checkpoint
+    /// is their lengths. New leak-record items and emitted images go to
+    /// a pending delta ([`Anonymizer::pending`]) instead of the
+    /// resident sets. The running statistics are small and are copied.
+    /// The hash memo and the line-class cache are pure functions of
+    /// their keys and need no undo. Panics if a transaction is open.
+    pub fn begin(&mut self) {
+        assert!(self.txn.is_none(), "Anonymizer::begin inside an open transaction");
+        self.txn = Some(Checkpoint {
+            trie4_nodes: self.ip.node_count(),
+            trie6_nodes: self.ip6.node_count(),
+            journal_len: self.journal.order.len(),
+            total_stats: self.total_stats.clone(),
+            prefilter_stats: self.prefilter_stats,
+            rewrite_stats: self.rewrite_stats,
+        });
+    }
+
+    /// The open transaction's additions so far: leak-record items and
+    /// emitted images the resident sets do not hold yet. Empty outside
+    /// a transaction.
+    pub fn pending(&self) -> (&LeakRecord, &BTreeSet<String>) {
+        (&self.pending_record, &self.pending_emitted)
+    }
+
+    /// Closes the open transaction, keeping its effects: the pending
+    /// delta moves into the resident sets. O(delta).
+    pub fn commit(&mut self) {
+        if self.txn.take().is_some() {
+            let LeakRecord { asns, ips, words } = std::mem::take(&mut self.pending_record);
+            self.record.asns.extend(asns);
+            self.record.ips.extend(ips);
+            self.record.words.extend(words);
+            self.emitted.extend(std::mem::take(&mut self.pending_emitted));
+        }
+    }
+
+    /// Closes the open transaction, undoing its effects: the tries and
+    /// the journal are cut back to the checkpoint, the statistics are
+    /// restored and the pending delta is dropped. Exact even after a
+    /// panic mid-request. Costs O(trie nodes) for the child-pointer
+    /// sweep, which is fine for the failure path it serves.
+    pub fn rollback(&mut self) {
+        if let Some(t) = self.txn.take() {
+            self.ip.truncate(t.trie4_nodes);
+            self.ip6.truncate(t.trie6_nodes);
+            self.journal.truncate(t.journal_len);
+            self.total_stats = t.total_stats;
+            self.prefilter_stats = t.prefilter_stats;
+            self.rewrite_stats = t.rewrite_stats;
+            self.pending_record = LeakRecord::default();
+            self.pending_emitted.clear();
+        }
+    }
 }
 
 /// Regexp domains for [`Anonymizer::rewrite_regex_tokens`].
@@ -1542,6 +1685,40 @@ mod tests {
         images.extend((7100u16..=7599).map(|v| a.community_map().map_value(v).to_string()));
         let report = crate::leak::LeakScanner::scan_excluding(&rec, images, &out.text);
         assert!(report.is_clean(), "leaks: {:#?}", report.leaks);
+    }
+
+    #[test]
+    fn committed_transactions_equal_a_plain_run_and_rollback_leaves_no_trace() {
+        let cfg = || AnonymizerConfig::new(b"txn-secret".to_vec());
+        let first = "hostname edge1\n ip address 10.1.2.3 255.255.255.0\nrouter bgp 701\n";
+        let junk = "hostname Junk7\n ip address 172.20.9.9 255.255.0.0\n\
+                    ipv6 route 2001:db8:99::/48 Null0\nrouter bgp 3356\n";
+        let second = " neighbor 10.1.2.9 remote-as 1239\nset community 701:120\n";
+
+        let mut plain = Anonymizer::new(cfg());
+        let plain_out = [plain.anonymize_config(first).text, plain.anonymize_config(second).text];
+
+        let mut txn = Anonymizer::new(cfg());
+        txn.begin();
+        let a = txn.anonymize_config(first).text;
+        txn.commit();
+        txn.begin();
+        txn.anonymize_config(junk);
+        assert!(!txn.pending().0.is_empty(), "junk recorded nothing");
+        txn.rollback();
+        txn.begin();
+        let b = txn.anonymize_config(second).text;
+        txn.commit();
+
+        assert_eq!([a, b], plain_out);
+        assert!(txn.pending().0.is_empty() && txn.pending().1.is_empty());
+        assert_eq!(txn.journal(), plain.journal());
+        assert_eq!(txn.leak_record(), plain.leak_record());
+        assert_eq!(txn.emitted(), plain.emitted());
+        assert_eq!(txn.trie_node_counts(), plain.trie_node_counts());
+        assert_eq!(txn.trie_digests(), plain.trie_digests());
+        assert_eq!(txn.total_stats(), plain.total_stats());
+        assert_eq!(txn.prefilter_stats(), plain.prefilter_stats());
     }
 
     #[test]

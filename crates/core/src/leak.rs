@@ -16,6 +16,7 @@
 //! false positives, which is exactly what the human reviewer of §6.1 does
 //! with context.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashSet};
 
 use confanon_testkit::json::Json;
@@ -64,7 +65,12 @@ impl LeakRecord {
     /// Parses the JSON shape produced by [`LeakRecord::to_json`]. Missing
     /// keys are treated as empty sets; non-string members are an error.
     pub fn from_json_str(text: &str) -> Result<LeakRecord, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        LeakRecord::from_json(&Json::parse(text).map_err(|e| e.to_string())?)
+    }
+
+    /// [`LeakRecord::from_json_str`] over an already parsed document
+    /// (the state loader hands over its `"record"` member as is).
+    pub fn from_json(doc: &Json) -> Result<LeakRecord, String> {
         let set = |key: &str| -> Result<BTreeSet<String>, String> {
             match doc.get(key) {
                 None => Ok(BTreeSet::new()),
@@ -100,7 +106,7 @@ pub struct Leak {
 }
 
 /// The scan result.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LeakReport {
     /// Flagged lines, in order.
     pub leaks: Vec<Leak>,
@@ -113,19 +119,28 @@ impl LeakReport {
     }
 }
 
-/// Scans anonymized text against a [`LeakRecord`].
+/// The §6.1 leak index: membership sets over a [`LeakRecord`] plus the
+/// exclusion set of legitimate images, and the one scan routine over
+/// them.
 ///
-/// Construction indexes the record's ordered sets into borrowed hash
-/// sets, so one scanner should be built per *corpus* and reused across
-/// files (the gate loop in `workflow` does exactly this); per-token
-/// membership checks are then O(1) instead of a string-compare walk of
-/// a `BTreeSet`.
+/// Building the index is the expensive part, so it is built once and
+/// reused. Batch builds one per *corpus*, borrowing the anonymizer's
+/// record ([`LeakScanner::with_exclusions`]). A serve tenant keeps one
+/// resident for its whole life, owning its strings, and grows it by
+/// each committed request's additions ([`LeakScanner::extend`]) instead
+/// of rebuilding it from the whole record. Per-token membership checks
+/// are O(1) hash lookups either way.
+#[derive(Default, PartialEq)]
 pub struct LeakScanner<'a> {
-    excluded: BTreeSet<String>,
-    /// Hash views over the record's sets (borrowing the record).
-    ips: HashSet<&'a str>,
-    asns: HashSet<&'a str>,
-    words: HashSet<&'a str>,
+    /// Legitimate images: never flagged.
+    excluded: HashSet<Cow<'a, str>>,
+    ips: HashSet<Cow<'a, str>>,
+    asns: HashSet<Cow<'a, str>>,
+    words: HashSet<Cow<'a, str>>,
+}
+
+fn borrowed(set: &BTreeSet<String>) -> HashSet<Cow<'_, str>> {
+    set.iter().map(|v| Cow::Borrowed(v.as_str())).collect()
 }
 
 impl<'a> LeakScanner<'a> {
@@ -142,10 +157,10 @@ impl<'a> LeakScanner<'a> {
         legitimate_images: impl IntoIterator<Item = String>,
     ) -> LeakScanner<'a> {
         LeakScanner {
-            excluded: legitimate_images.into_iter().collect(),
-            ips: record.ips.iter().map(String::as_str).collect(),
-            asns: record.asns.iter().map(String::as_str).collect(),
-            words: record.words.iter().map(String::as_str).collect(),
+            excluded: legitimate_images.into_iter().map(Cow::Owned).collect(),
+            ips: borrowed(&record.ips),
+            asns: borrowed(&record.asns),
+            words: borrowed(&record.words),
         }
     }
 
@@ -157,6 +172,39 @@ impl<'a> LeakScanner<'a> {
         text: &str,
     ) -> LeakReport {
         LeakScanner::with_exclusions(record, legitimate_images).scan(text)
+    }
+
+    /// Adds a delta to the index: recorded items to flag and emitted
+    /// images to exclude. The index owns copies of the delta's strings,
+    /// so it outlives the delta.
+    pub fn extend(&mut self, record: &LeakRecord, emitted: &BTreeSet<String>) {
+        let pairs = [
+            (&mut self.ips, &record.ips),
+            (&mut self.asns, &record.asns),
+            (&mut self.words, &record.words),
+            (&mut self.excluded, emitted),
+        ];
+        for (index, delta) in pairs {
+            index.extend(delta.iter().map(|v| Cow::Owned(v.clone())));
+        }
+    }
+
+    /// Undoes [`LeakScanner::extend`] of the same delta. Exact only when
+    /// none of the delta's items was in the index before the extend,
+    /// which holds for a transaction's pending additions (they are, by
+    /// construction, absent from the resident sets the index mirrors).
+    pub fn retract(&mut self, record: &LeakRecord, emitted: &BTreeSet<String>) {
+        let pairs = [
+            (&mut self.ips, &record.ips),
+            (&mut self.asns, &record.asns),
+            (&mut self.words, &record.words),
+            (&mut self.excluded, emitted),
+        ];
+        for (index, delta) in pairs {
+            for v in delta {
+                index.remove(v.as_str());
+            }
+        }
     }
 
     /// Scans `text`, returning every line still containing a recorded
@@ -352,6 +400,101 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 4);
         assert!(!a.is_empty());
+    }
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use confanon_testkit::chaos::ChaosMutator;
+    use confanon_testkit::rng::{Rng, SeedableRng, StdRng};
+
+    const WORDS: [&str; 8] = ["uunet", "sprint", "lax", "core", "edge", "acme", "foo", "bar"];
+
+    fn asn(rng: &mut StdRng) -> String {
+        rng.gen_range(1..200u32).to_string()
+    }
+
+    fn ip(rng: &mut StdRng) -> String {
+        format!("10.0.{}.{}", rng.gen_range(0..4u32), rng.gen_range(0..8u32))
+    }
+
+    fn word(rng: &mut StdRng) -> String {
+        WORDS[rng.gen_range(0..WORDS.len())].to_string()
+    }
+
+    /// A random delta: a few record items and exclusions, all drawn
+    /// from small pools so deltas, exclusions and texts collide often.
+    fn delta(rng: &mut StdRng) -> (LeakRecord, BTreeSet<String>) {
+        let mut record = LeakRecord::default();
+        let mut excluded = BTreeSet::new();
+        for _ in 0..rng.gen_range(0..5usize) {
+            record.asns.insert(asn(rng));
+            record.ips.insert(ip(rng));
+            record.words.insert(word(rng));
+            match rng.gen_range(0..3u32) {
+                0 => excluded.insert(asn(rng)),
+                1 => excluded.insert(ip(rng)),
+                _ => excluded.insert(word(rng)),
+            };
+        }
+        (record, excluded)
+    }
+
+    /// Config-shaped lines planting pool values (some recorded, some
+    /// excluded, some neither) among noise, then chaos-mutated.
+    fn chaos_text(rng: &mut StdRng, seed: u64) -> String {
+        let mut text = String::new();
+        for _ in 0..24 {
+            let line = match rng.gen_range(0..5u32) {
+                0 => format!(" neighbor {} remote-as {}", ip(rng), asn(rng)),
+                1 => format!("route-map {}-import permit 10", word(rng).to_uppercase()),
+                2 => format!("ip as-path access-list 5 permit _({}|{})_", asn(rng), asn(rng)),
+                3 => format!(" ip address {}/24 secondary {}", ip(rng), word(rng)),
+                _ => format!("hostname r{}.{}.net", asn(rng), word(rng)),
+            };
+            text.push_str(&line);
+            text.push('\n');
+        }
+        let mutated = ChaosMutator::new(seed).mutate(text.as_bytes());
+        String::from_utf8_lossy(&mutated.bytes).into_owned()
+    }
+
+    confanon_testkit::props! {
+        cases = 128;
+
+        /// The resident-index contract: an index grown by K deltas —
+        /// plus one more extended and retracted again, as a rejected
+        /// request's is — flags exactly what an index built once from
+        /// the merged record and exclusions flags.
+        fn extended_index_matches_one_built_from_the_merged_record(
+            seed in 0u64..1_000_000,
+            k in 1usize..8
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut merged = LeakRecord::default();
+            let mut merged_excluded = BTreeSet::new();
+            let mut index = LeakScanner::default();
+            for _ in 0..k {
+                let (record, excluded) = delta(&mut rng);
+                index.extend(&record, &excluded);
+                merged.merge(&record);
+                merged_excluded.extend(excluded);
+            }
+            let (mut rejected, mut rejected_excluded) = delta(&mut rng);
+            rejected.asns.retain(|v| !merged.asns.contains(v));
+            rejected.ips.retain(|v| !merged.ips.contains(v));
+            rejected.words.retain(|v| !merged.words.contains(v));
+            rejected_excluded.retain(|v| !merged_excluded.contains(v));
+            index.extend(&rejected, &rejected_excluded);
+            index.retract(&rejected, &rejected_excluded);
+
+            let once = LeakScanner::with_exclusions(&merged, merged_excluded);
+            for round in 0..4 {
+                let text = chaos_text(&mut rng, seed ^ round);
+                assert_eq!(index.scan(&text), once.scan(&text), "seed {seed} round {round}");
+            }
+        }
     }
 }
 

@@ -67,7 +67,7 @@ pub use anonymizer::{AnonymizedConfig, Anonymizer, AnonymizerConfig, IpScheme};
 pub use batch::{BatchInput, BatchOutput, BatchPipeline, BatchReport, FileDiscovery};
 pub use discover::{ObservationLog, ObservedIp};
 pub use error::{AnonError, BatchFailure, BatchPhase, StateErrorKind};
-pub use state::{AnonState, FileMark, STATE_FILE_NAME, STATE_SCHEMA};
+pub use state::{AnonState, FileMark, StateView, STATE_FILE_NAME, STATE_SCHEMA};
 pub use fsx::{write_atomic, DurabilityStats, FileBytes, Fs, StdFs, MMAP_MIN_LEN};
 pub use input::{sanitize_bytes, InputSanitation, MAX_LINE_LEN};
 pub use iterate::{iterate_to_closure, IterationTrace};

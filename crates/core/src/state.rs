@@ -62,7 +62,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use confanon_netprim::{Ip, Ip6};
-use confanon_testkit::json::Json;
+use confanon_testkit::json::{Json, JsonWriter};
 
 use crate::anonymizer::Anonymizer;
 use crate::discover::ObservedIp;
@@ -121,6 +121,118 @@ pub struct AnonState {
     pub files: BTreeMap<String, FileMark>,
 }
 
+/// A borrowed view of everything one `confanon-state-v1` document
+/// holds, wherever it lives: [`AnonState::view`] over a captured state,
+/// or [`StateView::of`] over a live anonymizer and its file marks. The
+/// one serializer, [`StateView::write`], streams from the view, so a
+/// flush neither clones the state nor builds a JSON tree of it.
+#[derive(Clone, Copy)]
+pub struct StateView<'a> {
+    /// See [`AnonState::secret_fingerprint`].
+    pub secret_fingerprint: &'a str,
+    /// See [`AnonState::perm_params`].
+    pub perm_params: &'a str,
+    /// See [`AnonState::journal`].
+    pub journal: &'a [ObservedIp],
+    /// See [`AnonState::record`].
+    pub record: &'a LeakRecord,
+    /// See [`AnonState::emitted`].
+    pub emitted: &'a BTreeSet<String>,
+    /// (v4, v6) trie node counts.
+    pub trie_nodes: (u64, u64),
+    /// (v4, v6) trie structure digests.
+    pub trie_digests: (u64, u64),
+    /// See [`AnonState::files`].
+    pub files: &'a BTreeMap<String, FileMark>,
+}
+
+impl<'a> StateView<'a> {
+    /// A view of a live anonymizer's state. `perm_params` is
+    /// [`Anonymizer::perm_fingerprint`], passed in so a long-lived
+    /// caller computes it once. Computing the trie digests walks every
+    /// trie node: the one O(nodes) step of a flush, inherent to v1.
+    pub fn of(
+        anonymizer: &'a Anonymizer,
+        secret_fingerprint: &'a str,
+        perm_params: &'a str,
+        files: &'a BTreeMap<String, FileMark>,
+    ) -> StateView<'a> {
+        let (n4, n6) = anonymizer.trie_node_counts();
+        StateView {
+            secret_fingerprint,
+            perm_params,
+            journal: anonymizer.journal(),
+            record: anonymizer.leak_record(),
+            emitted: anonymizer.emitted(),
+            trie_nodes: (n4 as u64, n6 as u64),
+            trie_digests: anonymizer.trie_digests(),
+            files,
+        }
+    }
+
+    /// Appends the serialized document — pretty JSON plus a trailing
+    /// newline, the exact bytes the schema above pins — to `out`.
+    pub fn write(&self, out: &mut String) {
+        let strings = |w: &mut JsonWriter, key: &str, set: &BTreeSet<String>| {
+            w.key(key).begin_array();
+            for v in set {
+                w.string(v);
+            }
+            w.end_array();
+        };
+        let mut w = JsonWriter::pretty(out);
+        w.begin_object();
+        w.key("schema").string(STATE_SCHEMA);
+        w.key("secret_fingerprint").string(self.secret_fingerprint);
+        w.key("perm_params").string(self.perm_params);
+        w.key("trie4_nodes").uint(self.trie_nodes.0);
+        w.key("trie6_nodes").uint(self.trie_nodes.1);
+        w.key("trie4_digest").string(&format!("{:016x}", self.trie_digests.0));
+        w.key("trie6_digest").string(&format!("{:016x}", self.trie_digests.1));
+        w.key("journal").begin_array();
+        let mut entry = String::new();
+        for obs in self.journal {
+            entry.clear();
+            journal_entry_write(&mut entry, obs);
+            w.string(&entry);
+        }
+        w.end_array();
+        w.key("record").begin_object();
+        strings(&mut w, "asns", &self.record.asns);
+        strings(&mut w, "ips", &self.record.ips);
+        strings(&mut w, "words", &self.record.words);
+        w.end_object();
+        strings(&mut w, "emitted", self.emitted);
+        w.key("files").begin_object();
+        for (name, mark) in self.files {
+            w.key(name).begin_object();
+            w.key("watermark").string(&mark.watermark);
+            w.key("prefilter_fast").uint(mark.prefilter_fast);
+            w.key("prefilter_slow").uint(mark.prefilter_slow);
+            w.key("stats");
+            mark.stats.write_json(&mut w);
+            w.end_object();
+        }
+        w.end_object().end_object();
+        out.push('\n');
+    }
+
+    /// Durably writes the document into `dir` via [`write_atomic`],
+    /// serializing into `buf` (cleared first; a long-lived caller
+    /// reuses one buffer across flushes).
+    pub fn save(
+        &self,
+        fs: &dyn Fs,
+        dir: &Path,
+        buf: &mut String,
+        stats: &mut DurabilityStats,
+    ) -> Result<(), AnonError> {
+        buf.clear();
+        self.write(buf);
+        write_atomic(fs, &state_path(dir), buf.as_bytes(), stats)
+    }
+}
+
 /// The state file path inside a state directory.
 pub fn state_path(dir: &Path) -> PathBuf {
     dir.join(STATE_FILE_NAME)
@@ -134,11 +246,13 @@ fn corrupted(path: &str, message: String) -> AnonError {
     }
 }
 
-fn journal_entry_to_string(obs: &ObservedIp) -> String {
-    match obs {
-        ObservedIp::V4(ip) => format!("4:{:08x}", ip.0),
-        ObservedIp::V6(ip) => format!("6:{:032x}", ip.0),
-    }
+/// Appends the journal entry form `4:<8 hex>` / `6:<32 hex>` to `out`.
+fn journal_entry_write(out: &mut String, obs: &ObservedIp) {
+    use std::fmt::Write;
+    let _ = match obs {
+        ObservedIp::V4(ip) => write!(out, "4:{:08x}", ip.0),
+        ObservedIp::V6(ip) => write!(out, "6:{:032x}", ip.0),
+    };
 }
 
 fn journal_entry_from_str(s: &str) -> Result<ObservedIp, String> {
@@ -189,49 +303,25 @@ impl AnonState {
         }
     }
 
-    /// The state as a JSON document.
-    pub fn to_json(&self) -> Json {
-        let mut files = Json::obj();
-        for (name, mark) in &self.files {
-            files.set(
-                name,
-                Json::obj()
-                    .with("watermark", mark.watermark.as_str())
-                    .with("prefilter_fast", mark.prefilter_fast)
-                    .with("prefilter_slow", mark.prefilter_slow)
-                    .with("stats", mark.stats.to_json()),
-            );
+    /// A borrowed view of this state, for the serializer.
+    pub fn view(&self) -> StateView<'_> {
+        StateView {
+            secret_fingerprint: &self.secret_fingerprint,
+            perm_params: &self.perm_params,
+            journal: &self.journal,
+            record: &self.record,
+            emitted: &self.emitted,
+            trie_nodes: (self.trie4_nodes, self.trie6_nodes),
+            trie_digests: (self.trie4_digest, self.trie6_digest),
+            files: &self.files,
         }
-        Json::obj()
-            .with("schema", STATE_SCHEMA)
-            .with("secret_fingerprint", self.secret_fingerprint.as_str())
-            .with("perm_params", self.perm_params.as_str())
-            .with("trie4_nodes", self.trie4_nodes)
-            .with("trie6_nodes", self.trie6_nodes)
-            .with("trie4_digest", format!("{:016x}", self.trie4_digest))
-            .with("trie6_digest", format!("{:016x}", self.trie6_digest))
-            .with(
-                "journal",
-                Json::Arr(
-                    self.journal
-                        .iter()
-                        .map(|o| Json::Str(journal_entry_to_string(o)))
-                        .collect(),
-                ),
-            )
-            .with("record", self.record.to_json())
-            .with(
-                "emitted",
-                Json::Arr(self.emitted.iter().map(|s| Json::Str(s.clone())).collect()),
-            )
-            .with("files", files)
     }
 
     /// The serialized document: pretty JSON plus a trailing newline.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut text = self.to_json().to_string_pretty();
-        text.push('\n');
-        text.into_bytes()
+        let mut out = String::new();
+        self.view().write(&mut out);
+        out.into_bytes()
     }
 
     /// Parses a state document. `path` is used for error messages only.
@@ -292,7 +382,7 @@ impl AnonState {
         let record_doc = doc
             .get("record")
             .ok_or_else(|| corrupted(path, "\"record\" missing".into()))?;
-        let record = LeakRecord::from_json_str(&record_doc.to_string())
+        let record = LeakRecord::from_json(record_doc)
             .map_err(|m| corrupted(path, format!("\"record\": {m}")))?;
 
         let emitted = doc
@@ -493,6 +583,25 @@ mod tests {
         assert_eq!(back, state);
         // Byte-stable: re-serializing the parse result is identical.
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn streamed_document_is_the_pretty_rendering_of_its_own_parse() {
+        // The streamed serializer and the tree formatter agree on every
+        // byte of a real document: parse it, re-render the tree pretty,
+        // and the bytes must come back unchanged.
+        let a = warmed_anonymizer();
+        let state = capture(&a);
+        let text = String::from_utf8(state.to_bytes()).unwrap();
+        let mut rendered = Json::parse(&text).expect("parse").to_string_pretty();
+        rendered.push('\n');
+        assert_eq!(rendered, text);
+        // The view of the live anonymizer streams the same document as
+        // the captured state.
+        let perm = a.perm_fingerprint();
+        let mut live = String::new();
+        StateView::of(&a, &state.secret_fingerprint, &perm, &state.files).write(&mut live);
+        assert_eq!(live, text);
     }
 
     #[test]

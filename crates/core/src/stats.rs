@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use confanon_testkit::json::Json;
+use confanon_testkit::json::{Json, JsonWriter};
 
 /// Counters accumulated while anonymizing one or more configurations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -134,33 +134,58 @@ impl AnonymizationStats {
         }
     }
 
+    /// The plain counters with their JSON keys, in serialized order —
+    /// the one field list both serializers below walk.
+    fn counters(&self) -> [(&'static str, u64); 18] {
+        [
+            ("lines_total", self.lines_total),
+            ("comment_lines_stripped", self.comment_lines_stripped),
+            ("freetext_lines_dropped", self.freetext_lines_dropped),
+            ("banner_lines_dropped", self.banner_lines_dropped),
+            ("unterminated_banners", self.unterminated_banners),
+            ("words_total", self.words_total),
+            ("words_removed_as_comments", self.words_removed_as_comments),
+            ("segments_passed", self.segments_passed),
+            ("segments_hashed", self.segments_hashed),
+            ("ips_mapped", self.ips_mapped),
+            ("ips_special_passthrough", self.ips_special_passthrough),
+            ("ips6_mapped", self.ips6_mapped),
+            ("asns_mapped", self.asns_mapped),
+            ("communities_mapped", self.communities_mapped),
+            ("regexps_rewritten", self.regexps_rewritten),
+            ("regexps_fallback_hashed", self.regexps_fallback_hashed),
+            ("phone_numbers_mapped", self.phone_numbers_mapped),
+            ("secrets_hashed", self.secrets_hashed),
+        ]
+    }
+
     /// The stats block as a JSON document (counters plus per-rule fires).
     pub fn to_json(&self) -> Json {
         let mut fires = Json::obj();
         for (rule, count) in &self.rule_fires {
             fires.set(rule, *count);
         }
-        Json::obj()
-            .with("lines_total", self.lines_total)
-            .with("comment_lines_stripped", self.comment_lines_stripped)
-            .with("freetext_lines_dropped", self.freetext_lines_dropped)
-            .with("banner_lines_dropped", self.banner_lines_dropped)
-            .with("unterminated_banners", self.unterminated_banners)
-            .with("words_total", self.words_total)
-            .with("words_removed_as_comments", self.words_removed_as_comments)
-            .with("segments_passed", self.segments_passed)
-            .with("segments_hashed", self.segments_hashed)
-            .with("ips_mapped", self.ips_mapped)
-            .with("ips_special_passthrough", self.ips_special_passthrough)
-            .with("ips6_mapped", self.ips6_mapped)
-            .with("asns_mapped", self.asns_mapped)
-            .with("communities_mapped", self.communities_mapped)
-            .with("regexps_rewritten", self.regexps_rewritten)
-            .with("regexps_fallback_hashed", self.regexps_fallback_hashed)
-            .with("phone_numbers_mapped", self.phone_numbers_mapped)
-            .with("secrets_hashed", self.secrets_hashed)
-            .with("comment_word_fraction", self.comment_word_fraction())
+        let mut doc = Json::obj();
+        for (key, value) in self.counters() {
+            doc.set(key, value);
+        }
+        doc.with("comment_word_fraction", self.comment_word_fraction())
             .with("rule_fires", fires)
+    }
+
+    /// Streams [`AnonymizationStats::to_json`]'s document into `w`
+    /// without building it (the state flush writes one per file).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (key, value) in self.counters() {
+            w.key(key).uint(value);
+        }
+        w.key("comment_word_fraction").number(self.comment_word_fraction());
+        w.key("rule_fires").begin_object();
+        for (rule, count) in &self.rule_fires {
+            w.key(rule).uint(*count);
+        }
+        w.end_object().end_object();
     }
 
     /// Parses the shape produced by [`AnonymizationStats::to_json`]. The

@@ -8,13 +8,26 @@
 //! tenants is structural (separate threads, separate state, separate
 //! secrets), not a locking discipline.
 //!
-//! Request handling is clone-mutate-swap: the worker clones the
-//! resident [`Anonymizer`], runs the request on the clone under
-//! `catch_unwind`, and only swaps the clone in after the §6.1 leak gate
-//! passes. A poisoned request therefore fails closed — the error frame
-//! goes out, the resident state is still the pre-request state (the
-//! "worker re-clone" from the batch pipeline, per request instead of
-//! per file), and no other tenant is involved at all.
+//! A request is an in-place transaction on the resident
+//! [`Anonymizer`], and costs O(request) on its success path. The worker
+//! opens a checkpoint ([`Anonymizer::begin`]), runs the request under
+//! `catch_unwind`, and gates the output against the tenant's resident
+//! §6.1 leak index, extended by the request's pending additions. If the
+//! gate passes, it commits. If the request panics or trips the gate, it
+//! rolls back ([`Anonymizer::rollback`]): the tries and the journal are
+//! cut back to the checkpoint, the statistics restored and the pending
+//! additions dropped. So a poisoned request fails closed. The error
+//! frame goes out, the resident state is exactly the pre-request state,
+//! and no other tenant is involved at all. Only rollback costs
+//! O(state), and it runs only on failure.
+//!
+//! The leak index is built once at open from the restored record and
+//! exclusion set, then grows by each committed request's additions; it
+//! is never rebuilt from the whole record per request. The state flush
+//! streams `confanon-state-v1` straight from the resident anonymizer
+//! and file marks into a reused buffer ([`StateView`]): no state clone,
+//! no JSON tree. The trie digests and the fsync of the whole document
+//! stay O(state), as the v1 format requires.
 //!
 //! Quarantine is two-tier and deliberate about what it flushes:
 //!
@@ -29,8 +42,9 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::time::Instant;
 
-use confanon_obs::{Clock, ObsShard};
+use confanon_obs::{Clock, Histogram, ObsShard};
 use confanon_testkit::json::Json;
 
 use crate::anonymizer::{Anonymizer, AnonymizerConfig};
@@ -41,7 +55,7 @@ use crate::leak::LeakScanner;
 use crate::manifest::RunManifest;
 use crate::rules::ALL_RULES;
 use crate::serve::Status;
-use crate::state::{state_path, AnonState, FileMark};
+use crate::state::{state_path, AnonState, FileMark, StateView};
 
 /// When a tenant's state is durably flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +178,34 @@ impl FaultHooks {
     }
 }
 
+/// Per-stage wall-clock durations of a tenant's requests, in
+/// microseconds. Timing is not deterministic, so the stats frame
+/// carries it in its own `timing` section, apart from the `counters`.
+#[derive(Debug, Clone, Default)]
+struct StageTiming {
+    /// Running the request through the anonymizer.
+    anonymize: Histogram,
+    /// Extending the leak index and scanning the output.
+    leak_gate: Histogram,
+    /// Each durable state flush (per request at `flush = "request"`,
+    /// plus explicit and drain flushes).
+    flush: Histogram,
+}
+
+impl StageTiming {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .with("anonymize_us", self.anonymize.to_json())
+            .with("leak_gate_us", self.leak_gate.to_json())
+            .with("flush_us", self.flush.to_json())
+    }
+}
+
+/// Microseconds since `start`.
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
 /// A resident tenant: the serve daemon's unit of isolation.
 pub struct Tenant {
     /// The tenant's wire name.
@@ -173,13 +215,21 @@ pub struct Tenant {
     spec: TenantSpec,
     state_dir: PathBuf,
     fingerprint: String,
+    /// [`Anonymizer::perm_fingerprint`], computed once at open.
+    perm_params: String,
     anonymizer: Anonymizer,
+    /// The §6.1 index over the resident record and exclusion set,
+    /// extended by every committed request.
+    leak_index: LeakScanner<'static>,
     files: BTreeMap<String, FileMark>,
     health: TenantHealth,
     flush_mode: FlushMode,
     hooks: FaultHooks,
     obs: ObsShard,
+    timing: StageTiming,
     durability: DurabilityStats,
+    /// The serialized state document, reused across flushes.
+    flush_buf: String,
 }
 
 /// Renders a contained panic payload.
@@ -213,16 +263,16 @@ impl Tenant {
         let mut anonymizer = Anonymizer::new(cfg.clone());
         let mut files = BTreeMap::new();
         let mut health = TenantHealth::Serving;
+        let perm_params = anonymizer.perm_fingerprint();
         let state_file = state_path(&spec.state_dir).display().to_string();
         match AnonState::load(fs, &spec.state_dir) {
             Ok(None) => {}
             Ok(Some(state)) => {
-                let expect_perms = anonymizer.perm_fingerprint();
                 let restored = state
-                    .check_owner(&state_file, &fingerprint, &expect_perms)
+                    .check_owner(&state_file, &fingerprint, &perm_params)
                     .and_then(|()| state.restore_into(&state_file, &mut anonymizer));
                 match restored {
-                    Ok(_) => files = state.files.clone(),
+                    Ok(_) => files = state.files,
                     Err(e) => {
                         health = TenantHealth::StateQuarantined {
                             reason: e.to_string(),
@@ -242,18 +292,26 @@ impl Tenant {
         }
         let mut obs = ObsShard::new(Clock::new());
         obs.count("serve.opened", 1);
+        // Built once from the restored sets; every committed request
+        // extends it by its own additions.
+        let mut leak_index = LeakScanner::default();
+        leak_index.extend(anonymizer.leak_record(), anonymizer.emitted());
         Tenant {
             name: spec.name.clone(),
             spec: spec.clone(),
             state_dir: spec.state_dir.clone(),
             fingerprint,
+            perm_params,
             anonymizer,
+            leak_index,
             files,
             health,
             flush_mode,
             hooks: FaultHooks::from_env(),
             obs,
+            timing: StageTiming::default(),
             durability: DurabilityStats::default(),
+            flush_buf: String::new(),
         }
     }
 
@@ -273,7 +331,7 @@ impl Tenant {
 
     /// Handles one `ANON` request. Returns the response status and
     /// payload; never panics outward and never leaves the resident
-    /// state half-mutated (clone-mutate-swap).
+    /// state half-mutated (checkpoint, then commit or rollback).
     pub fn handle_anon(&mut self, name: &str, payload: &[u8], fs: &dyn Fs) -> (Status, Vec<u8>) {
         self.obs.count("serve.requests", 1);
         self.obs.record("serve.request_bytes", payload.len() as u64);
@@ -293,35 +351,43 @@ impl Tenant {
             }
         }
         let before = *self.anonymizer.prefilter_stats();
-        let clone = self.anonymizer.clone();
-        let panic_marker = self.hooks.panic_marker.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(move || {
-            let mut clone = clone;
-            if let Some(marker) = &panic_marker {
-                assert!(
-                    !text.contains(marker.as_str()),
-                    "serve fault marker {marker:?} hit"
-                );
+        let started = Instant::now();
+        self.anonymizer.begin();
+        let anonymizer = &mut self.anonymizer;
+        let panic_marker = self.hooks.panic_marker.as_deref();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let out = anonymizer.anonymize_config(&text);
+            // The fault hook fires after the request has run, so
+            // containment must undo a whole request's mutations.
+            if let Some(marker) = panic_marker {
+                assert!(!text.contains(marker), "serve fault marker {marker:?} hit");
             }
-            let out = clone.anonymize_config(&text);
-            (clone, out, text)
+            out
         }));
-        let (warmed, out, text) = match outcome {
-            Ok(parts) => parts,
+        let out = match outcome {
+            Ok(out) => out,
             Err(payload) => {
-                // Fail closed: the clone (and whatever it half-did)
-                // is gone; the resident state never saw the request.
+                // Fail closed: undo whatever the request half-did; the
+                // resident state is the pre-request state again.
+                self.anonymizer.rollback();
                 self.obs.count("serve.panics_contained", 1);
                 let msg = format!("panic contained: {}", panic_message(payload.as_ref()));
                 return (Status::Error, msg.into_bytes());
             }
         };
-        let scan = LeakScanner::scan_excluding(
-            warmed.leak_record(),
-            warmed.emitted_exclusions(),
-            &out.text,
-        );
+        self.timing.anonymize.record(micros_since(started));
+
+        // The §6.1 gate: the resident index plus this request's pending
+        // additions, exactly the index a scanner built from the whole
+        // post-request record would be.
+        let gate_started = Instant::now();
+        let (added, images) = self.anonymizer.pending();
+        self.leak_index.extend(added, images);
+        let scan = self.leak_index.scan(&out.text);
         if !scan.is_clean() {
+            self.leak_index.retract(added, images);
+            self.anonymizer.rollback();
+            self.timing.leak_gate.record(micros_since(gate_started));
             self.obs.count("serve.leak_quarantines", 1);
             let reason = format!(
                 "leak gate: {} residual hit(s) in request {name:?}; output withheld",
@@ -346,9 +412,12 @@ impl Tenant {
                 .with("leaks", Json::Arr(leaks));
             return (Status::Quarantined, doc.to_string_pretty().into_bytes());
         }
-        // Gate passed: commit. The swap is the only mutation of the
-        // resident state, and it is all-or-nothing by construction.
-        let after = *warmed.prefilter_stats();
+        // Gate passed: commit. Until here the resident sets held none
+        // of the request's additions and the checkpoint could undo the
+        // rest; committing moves the pending delta in, O(request).
+        self.anonymizer.commit();
+        self.timing.leak_gate.record(micros_since(gate_started));
+        let after = *self.anonymizer.prefilter_stats();
         self.files.insert(
             name.to_string(),
             FileMark {
@@ -358,7 +427,6 @@ impl Tenant {
                 prefilter_slow: after.slow_path_lines - before.slow_path_lines,
             },
         );
-        self.anonymizer = warmed;
         // Degraded mode suspends the per-request flush entirely — the
         // disk already said no permanently; hammering it per request
         // would turn one bad device into a latency storm. Recovery
@@ -398,12 +466,12 @@ impl Tenant {
         if matches!(self.health, TenantHealth::StateQuarantined { .. }) {
             return Ok(());
         }
-        let state = AnonState::capture(
-            &self.anonymizer,
-            self.fingerprint.clone(),
-            self.files.clone(),
-        );
-        state.save(fs, &self.state_dir, &mut self.durability)?;
+        let started = Instant::now();
+        let view =
+            StateView::of(&self.anonymizer, &self.fingerprint, &self.perm_params, &self.files);
+        let saved = view.save(fs, &self.state_dir, &mut self.flush_buf, &mut self.durability);
+        self.timing.flush.record(micros_since(started));
+        saved?;
         self.obs.count("serve.flushes", 1);
         if matches!(self.health, TenantHealth::Degraded { .. }) {
             self.obs.count("serve.recoveries", 1);
@@ -442,8 +510,10 @@ impl Tenant {
                 // tenant's counters so the stats frame shows the
                 // quarantine epoch and the recovery.
                 self.anonymizer = fresh.anonymizer;
+                self.leak_index = fresh.leak_index;
                 self.files = fresh.files;
                 self.fingerprint = fresh.fingerprint;
+                self.perm_params = fresh.perm_params;
                 self.health = TenantHealth::Serving;
                 self.obs.count("serve.recoveries", 1);
                 true
@@ -453,8 +523,9 @@ impl Tenant {
         }
     }
 
-    /// The tenant's stats-frame entry: health, state size, and the
-    /// per-tenant `serve.*` counters.
+    /// The tenant's stats-frame entry: health, state size, the
+    /// per-tenant `serve.*` counters and, apart from them, the
+    /// wall-clock `timing` histograms of the request stages.
     pub fn stats_json(&self) -> Json {
         let (n4, n6) = self.anonymizer.trie_node_counts();
         let reason = match &self.health {
@@ -472,6 +543,7 @@ impl Tenant {
             .with("files_marked", self.files.len() as u64)
             .with("durability", self.durability.to_json())
             .with("counters", self.obs.counters_json("serve."))
+            .with("timing", self.timing.to_json())
     }
 
     /// Read access to the resident anonymizer (tests compare mapping
@@ -715,6 +787,148 @@ mod tests {
             Some(1)
         );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Everything a failed request must leave untouched.
+    #[derive(Debug, PartialEq)]
+    struct Resident {
+        journal: Vec<crate::discover::ObservedIp>,
+        record: crate::leak::LeakRecord,
+        emitted: std::collections::BTreeSet<String>,
+        trie_nodes: (usize, usize),
+        trie_digests: (u64, u64),
+        files: BTreeMap<String, FileMark>,
+        total_stats: crate::stats::AnonymizationStats,
+    }
+
+    fn resident(t: &Tenant) -> Resident {
+        let a = &t.anonymizer;
+        assert!(a.pending().0.is_empty() && a.pending().1.is_empty(), "pending delta left behind");
+        let rebuilt = LeakScanner::with_exclusions(a.leak_record(), a.emitted().iter().cloned());
+        assert!(
+            t.leak_index == rebuilt,
+            "the resident leak index no longer mirrors the resident sets"
+        );
+        Resident {
+            journal: a.journal().to_vec(),
+            record: a.leak_record().clone(),
+            emitted: a.emitted().clone(),
+            trie_nodes: a.trie_node_counts(),
+            trie_digests: a.trie_digests(),
+            files: t.files.clone(),
+            total_stats: a.total_stats().clone(),
+        }
+    }
+
+    /// A request the remote-as ablation lets leak (ASN 701 is recorded
+    /// on the `router bgp` line and survives on the neighbor line),
+    /// carrying fresh addresses and words so rollback has work to undo.
+    fn leaky(k: usize) -> String {
+        format!(
+            "hostname leak{k}\ninterface Loopback{k}\n ip address 10.200.{k}.1 255.255.255.255\n\
+             ipv6 route 2001:db8:{k}::/48 Null0\n\
+             router bgp 701\n neighbor 10.201.{k}.2 remote-as 701\n"
+        )
+    }
+
+    /// A request that panics inside the containment boundary once the
+    /// tenant's fault hook is armed with `POISON-PILL`.
+    fn poisoned(k: usize) -> String {
+        format!("{}hostname POISON-PILL\n ip address 10.202.{k}.7 255.255.255.0\n", sample(k + 40))
+    }
+
+    #[test]
+    fn a_contained_panic_rolls_the_request_back_exactly() {
+        let root = tmpdir("rollback");
+        let mut tenant = Tenant::open(&spec("alpha", &root.join("s")), FlushMode::Request, &StdFs);
+        tenant.hooks.panic_marker = Some("POISON-PILL".to_string());
+        assert_eq!(tenant.handle_anon("r1.cfg", sample(1).as_bytes(), &StdFs).0, Status::Ok);
+        let before = resident(&tenant);
+        let on_disk = std::fs::read(state_path(&root.join("s"))).unwrap();
+
+        let (status, body) = tenant.handle_anon("bad.cfg", poisoned(2).as_bytes(), &StdFs);
+        assert_eq!(status, Status::Error);
+        assert!(String::from_utf8(body).unwrap().contains("panic contained"));
+        assert_eq!(resident(&tenant), before);
+        assert_eq!(std::fs::read(state_path(&root.join("s"))).unwrap(), on_disk);
+
+        // The tenant keeps serving, and what the poisoned request had
+        // mapped maps afresh: its first-insertion order is replayable.
+        assert_eq!(tenant.handle_anon("r2.cfg", sample(2).as_bytes(), &StdFs).0, Status::Ok);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn streamed_flush_equals_the_captured_state_document() {
+        let root = tmpdir("stream");
+        let sdir = root.join("s");
+        let mut tenant = Tenant::open(&spec("alpha", &sdir), FlushMode::Drain, &StdFs);
+        for i in 1..6 {
+            let name = format!("r{i}.cfg");
+            assert_eq!(tenant.handle_anon(&name, sample(i).as_bytes(), &StdFs).0, Status::Ok);
+        }
+        let captured =
+            AnonState::capture(&tenant.anonymizer, tenant.fingerprint.clone(), tenant.files.clone())
+                .to_bytes();
+        tenant.flush(&StdFs).unwrap();
+        assert_eq!(std::fs::read(state_path(&sdir)).unwrap(), captured);
+        // The reused buffer carries nothing over between flushes.
+        tenant.flush(&StdFs).unwrap();
+        assert_eq!(std::fs::read(state_path(&sdir)).unwrap(), captured);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    confanon_testkit::props! {
+        cases = 12;
+
+        /// Rollback exactness under a mixed request stream at
+        /// `flush = "request"`: after every panicking or leak-tripping
+        /// request the resident journal, record, emitted set, tries,
+        /// file marks and totals equal their pre-request values, and
+        /// the tenant ends with a `state.json` byte-identical to that of
+        /// a tenant fed only the clean requests.
+        fn failed_requests_leave_no_trace(seed in 0u64..1_000_000) {
+            use confanon_testkit::rng::{Rng, SeedableRng, StdRng};
+            let root = std::env::temp_dir().join(format!(
+                "confanon-tenant-mixed-{}-{seed}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let ablated = |dir: PathBuf| TenantSpec {
+                disabled_rules: vec!["neighbor-remote-as".to_string()],
+                ..spec("alpha", &dir)
+            };
+            let mut mixed = Tenant::open(&ablated(root.join("mixed")), FlushMode::Request, &StdFs);
+            mixed.hooks.panic_marker = Some("POISON-PILL".to_string());
+            let mut clean = Tenant::open(&ablated(root.join("clean")), FlushMode::Request, &StdFs);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for k in 0..8usize {
+                let name = format!("r{k}.cfg");
+                let before = resident(&mixed);
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        let text = sample(rng.gen_range(1..40usize));
+                        assert_eq!(mixed.handle_anon(&name, text.as_bytes(), &StdFs).0, Status::Ok);
+                        assert_eq!(clean.handle_anon(&name, text.as_bytes(), &StdFs).0, Status::Ok);
+                        continue;
+                    }
+                    1 => {
+                        let (status, _) = mixed.handle_anon(&name, poisoned(k).as_bytes(), &StdFs);
+                        assert_eq!(status, Status::Error, "seed {seed} request {k}");
+                    }
+                    _ => {
+                        let (status, _) = mixed.handle_anon(&name, leaky(k).as_bytes(), &StdFs);
+                        assert_eq!(status, Status::Quarantined, "seed {seed} request {k}");
+                        // Keep feeding the stream past the quarantine.
+                        mixed.health = TenantHealth::Serving;
+                    }
+                }
+                assert_eq!(resident(&mixed), before, "seed {seed}: request {k} left a trace");
+            }
+            let doc = |t: &str| std::fs::read(state_path(&root.join(t))).ok();
+            assert_eq!(doc("mixed"), doc("clean"), "seed {seed}: state.json differs");
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     confanon_testkit::props! {

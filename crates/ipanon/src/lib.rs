@@ -105,6 +105,32 @@ mod property_tests {
             }
         }
 
+        /// Truncating back to an earlier node count undoes every
+        /// insertion since, node for node: the structure digest returns
+        /// to its value at the mark, and re-inserting the same addresses
+        /// rebuilds exactly the trie a run without the rollback has.
+        fn trie_truncate_restores_structure(
+            base in vec_of(any::<u32>(), 0usize..40),
+            undone in vec_of(any::<u32>(), 1usize..40),
+            seed in any::<u64>()
+        ) {
+            let mut anon = IpAnonymizer::new(&seed.to_be_bytes());
+            for &raw in &base {
+                anon.anonymize(Ip(raw));
+            }
+            let (mark, digest) = (anon.node_count(), anon.structure_digest());
+            let mut straight = anon.clone();
+            for &raw in &undone {
+                anon.anonymize(Ip(raw));
+            }
+            anon.truncate(mark);
+            assert_eq!((anon.node_count(), anon.structure_digest()), (mark, digest));
+            for &raw in undone.iter().rev() {
+                assert_eq!(anon.anonymize(Ip(raw)), straight.anonymize(Ip(raw)));
+            }
+            assert_eq!(anon.structure_digest(), straight.structure_digest());
+        }
+
         /// Crypto-PAn baseline: prefix preserving and stateless
         /// (order-independent).
         fn cryptopan_prefix_preserving(a in any::<u32>(), b in any::<u32>(), seed in any::<u64>()) {
@@ -135,7 +161,7 @@ mod property_tests {
 mod property_tests6 {
     use super::*;
     use confanon_netprim::{special6_kind, Ip6};
-    use confanon_testkit::props::{any, assume};
+    use confanon_testkit::props::{any, assume, vec_of};
 
     confanon_testkit::props! {
         cases = 256;
@@ -151,6 +177,29 @@ mod property_tests6 {
             let fa = anon.map_raw(a);
             let fb = anon.map_raw(b);
             assert_eq!(a.common_prefix_len(b), fa.common_prefix_len(fb));
+        }
+
+        /// v6 twin of `trie_truncate_restores_structure`.
+        fn trie6_truncate_restores_structure(
+            base in vec_of(any::<u128>(), 0usize..20),
+            undone in vec_of(any::<u128>(), 1usize..20),
+            seed in any::<u64>()
+        ) {
+            let mut anon = Ip6Anonymizer::new(&seed.to_be_bytes());
+            for &raw in &base {
+                anon.anonymize(Ip6(raw));
+            }
+            let (mark, digest) = (anon.node_count(), anon.structure_digest());
+            let mut straight = anon.clone();
+            for &raw in &undone {
+                anon.anonymize(Ip6(raw));
+            }
+            anon.truncate(mark);
+            assert_eq!((anon.node_count(), anon.structure_digest()), (mark, digest));
+            for &raw in undone.iter().rev() {
+                assert_eq!(anon.anonymize(Ip6(raw)), straight.anonymize(Ip6(raw)));
+            }
+            assert_eq!(anon.structure_digest(), straight.structure_digest());
         }
 
         /// The total v6 map never outputs a special for ordinary input

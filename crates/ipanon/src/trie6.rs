@@ -58,6 +58,30 @@ impl Ip6Anonymizer {
         a
     }
 
+    /// Rolls the trie back to an earlier [`node_count`]: drops every
+    /// node allocated since and resets any child pointer that points
+    /// past the mark. Nodes are only ever appended, and the one in-place
+    /// flip edit (the point-special repair) touches only nodes fresh to
+    /// its own walk, so this restores the trie exactly as it was when
+    /// `node_count()` returned `mark`. O(nodes): callers run it only to
+    /// undo a failed transaction.
+    ///
+    /// [`node_count`]: Self::node_count
+    pub fn truncate(&mut self, mark: usize) {
+        let mark = mark.max(1);
+        if mark >= self.nodes.len() {
+            return;
+        }
+        self.nodes.truncate(mark);
+        for node in &mut self.nodes {
+            for child in &mut node.child {
+                if *child != NONE && *child as usize >= mark {
+                    *child = NONE;
+                }
+            }
+        }
+    }
+
     /// Number of trie nodes allocated.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

@@ -161,6 +161,9 @@ pub fn validate_serve_metrics(doc: &Json) -> Result<(), String> {
             if snap.get("health").and_then(Json::as_str).is_none() {
                 return Err(format!("tenant {name:?} snapshot lacks \"health\""));
             }
+            if snap.get("timing").is_some_and(|t| !matches!(t, Json::Obj(_))) {
+                return Err(format!("tenant {name:?} \"timing\" is not an object"));
+            }
         }
     }
     let faults = match doc.get("daemon").and_then(|d| d.get("faults")) {
@@ -174,6 +177,46 @@ pub fn validate_serve_metrics(doc: &Json) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// A human-readable summary of a serve stats frame's per-tenant
+/// `timing` section: one line per tenant and stage histogram, as
+/// `TENANT STAGE count=N mean=M p50<=B p99<=B max=X`. Percentiles are
+/// the upper bounds of the power-of-two buckets the nearest-rank sample
+/// falls in. Tenants without a timing section contribute no lines.
+pub fn serve_timing_lines(doc: &Json) -> Vec<String> {
+    let mut lines = Vec::new();
+    let Some(Json::Obj(tenants)) = doc.get("tenants") else {
+        return lines;
+    };
+    for (tenant, snap) in tenants {
+        let Some(Json::Obj(stages)) = snap.get("timing") else {
+            continue;
+        };
+        for (stage, hist) in stages {
+            let field = |key: &str| hist.get(key).and_then(Json::as_u64).unwrap_or(0);
+            let count = field("count");
+            let bound = |q: f64| -> String {
+                let rank = ((q * count as f64).ceil() as u64).max(1);
+                let mut seen = 0;
+                for (bucket, n) in hist.get("buckets").and_then(Json::members).unwrap_or(&[]) {
+                    seen += n.as_u64().unwrap_or(0);
+                    if seen >= rank {
+                        return bucket.trim_start_matches("le_").to_string();
+                    }
+                }
+                "-".to_string()
+            };
+            lines.push(format!(
+                "{tenant} {stage} count={count} mean={} p50<={} p99<={} max={}",
+                field("sum").checked_div(count).unwrap_or(0),
+                bound(0.50),
+                bound(0.99),
+                field("max"),
+            ));
+        }
+    }
+    lines
 }
 
 /// Builds a fully-populated `faults` object for the daemon section —
@@ -249,6 +292,33 @@ mod tests {
         assert!(validate_serve_metrics(&healthless)
             .unwrap_err()
             .contains("health"));
+    }
+
+    #[test]
+    fn serve_timing_lines_summarize_each_stage() {
+        let mut h = Histogram::default();
+        for v in [3, 5, 100] {
+            h.record(v);
+        }
+        let tenants = Json::obj()
+            .with(
+                "alpha",
+                Json::obj()
+                    .with("health", "serving")
+                    .with("timing", Json::obj().with("flush_us", h.to_json())),
+            )
+            .with("beta", Json::obj().with("health", "serving"));
+        let doc = serve_metrics_doc(tenants, Json::obj().with("faults", serve_faults_json([0; 6])));
+        assert!(validate_serve_metrics(&doc).is_ok());
+        assert_eq!(
+            serve_timing_lines(&doc),
+            ["alpha flush_us count=3 mean=36 p50<=8 p99<=128 max=100"]
+        );
+        let bad = serve_metrics_doc(
+            Json::obj().with("alpha", Json::obj().with("health", "serving").with("timing", 1u64)),
+            Json::obj().with("faults", serve_faults_json([0; 6])),
+        );
+        assert!(validate_serve_metrics(&bad).unwrap_err().contains("timing"));
     }
 
     #[test]

@@ -143,40 +143,15 @@ impl Json {
     /// Compact serialization.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        JsonWriter::compact(&mut out).value(self);
         out
     }
 
     /// Pretty serialization with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        JsonWriter::pretty(&mut out).value(self);
         out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(out, *n),
-            Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i, ind, d| {
-                    items[i].write(out, ind, d);
-                });
-            }
-            Json::Obj(members) => {
-                write_seq(out, indent, depth, '{', '}', members.len(), |out, i, ind, d| {
-                    let (k, v) = &members[i];
-                    write_string(out, k);
-                    out.push(':');
-                    if ind.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, ind, d);
-                });
-            }
-        }
     }
 
     /// Parses a JSON document (the whole input must be one value).
@@ -199,35 +174,168 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_seq(
-    out: &mut String,
+/// A streaming JSON writer: the one formatter behind
+/// [`Json::to_string_compact`] and [`Json::to_string_pretty`], usable
+/// directly to emit a large document without building its [`Json`]
+/// tree first. Callers open and close containers, write object keys,
+/// and write scalar values; the writer places separators, newlines and
+/// indentation exactly as the tree serializers do, so a streamed
+/// document and the tree of the same value are byte-identical.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Spaces per nesting level, or `None` for the compact form.
     indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize, Option<usize>, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+    /// Items written so far in each open container, innermost last.
+    open: Vec<usize>,
+    /// A key was just written: the next value follows it directly.
+    keyed: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending the compact form to `out`.
+    pub fn compact(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter {
+            out,
+            indent: None,
+            open: Vec::new(),
+            keyed: false,
         }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
+    }
+
+    /// A writer appending the two-space pretty form to `out`.
+    pub fn pretty(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter {
+            indent: Some(2),
+            ..JsonWriter::compact(out)
         }
-        item(out, i, indent, depth + 1);
     }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', w * depth));
+
+    /// Positions the output for the next array item or object key.
+    fn item(&mut self) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        let depth = self.open.len();
+        let Some(count) = self.open.last_mut() else {
+            return;
+        };
+        if *count > 0 {
+            self.out.push(',');
+        }
+        *count += 1;
+        self.newline(depth);
     }
-    out.push(close);
+
+    /// In the pretty form, a newline and the indentation of `depth`.
+    fn newline(&mut self, depth: usize) {
+        if let Some(w) = self.indent {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', w * depth));
+        }
+    }
+
+    fn begin(&mut self, open: char) -> &mut Self {
+        self.item();
+        self.out.push(open);
+        self.open.push(0);
+        self
+    }
+
+    fn end(&mut self, close: char) -> &mut Self {
+        let count = self.open.pop().expect("JsonWriter: end without begin");
+        if count > 0 {
+            self.newline(self.open.len());
+        }
+        self.out.push(close);
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.end('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.end(']')
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        write_string(self.out, key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+        self.keyed = true;
+        self
+    }
+
+    /// Writes a string value.
+    pub fn string(&mut self, s: &str) -> &mut Self {
+        self.item();
+        write_string(self.out, s);
+        self
+    }
+
+    /// Writes a number value (integers print without a fraction, as
+    /// [`Json::Num`] does).
+    pub fn number(&mut self, n: impl Into<f64>) -> &mut Self {
+        self.item();
+        write_number(self.out, n.into());
+        self
+    }
+
+    /// Writes a `u64` value exactly as `Json::from(n)` serializes.
+    pub fn uint(&mut self, n: u64) -> &mut Self {
+        self.number(n as f64)
+    }
+
+    /// Writes a whole [`Json`] value.
+    pub fn value(&mut self, v: &Json) -> &mut Self {
+        match v {
+            Json::Null => {
+                self.item();
+                self.out.push_str("null");
+            }
+            Json::Bool(b) => {
+                self.item();
+                self.out.push_str(if *b { "true" } else { "false" });
+            }
+            Json::Num(n) => {
+                self.number(*n);
+            }
+            Json::Str(s) => {
+                self.string(s);
+            }
+            Json::Arr(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array();
+            }
+            Json::Obj(members) => {
+                self.begin_object();
+                for (k, v) in members {
+                    self.key(k).value(v);
+                }
+                self.end_object();
+            }
+        }
+        self
+    }
 }
 
 fn write_number(out: &mut String, n: f64) {
@@ -243,6 +351,12 @@ fn write_number(out: &mut String, n: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        // Nothing to escape (the common case): one copy.
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -495,6 +609,41 @@ mod tests {
             v.to_string_pretty(),
             "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}"
         );
+    }
+
+    #[test]
+    fn streamed_writer_matches_the_tree_serializers() {
+        let tree = Json::obj()
+            .with("empty_obj", Json::obj())
+            .with("empty_arr", Json::Arr(Vec::new()))
+            .with("n", 7u64)
+            .with("s", "a\"b\n")
+            .with("arr", Json::Arr(vec![Json::from("x"), Json::obj().with("k", 0.25)]));
+        let stream = |out: &mut String, pretty: bool| {
+            let mut w = if pretty {
+                JsonWriter::pretty(out)
+            } else {
+                JsonWriter::compact(out)
+            };
+            w.begin_object();
+            w.key("empty_obj").begin_object().end_object();
+            w.key("empty_arr").begin_array().end_array();
+            w.key("n").uint(7);
+            w.key("s").string("a\"b\n");
+            w.key("arr").begin_array().string("x");
+            w.begin_object().key("k").number(0.25).end_object();
+            w.end_array().end_object();
+        };
+        for pretty in [false, true] {
+            let mut out = String::new();
+            stream(&mut out, pretty);
+            let want = if pretty {
+                tree.to_string_pretty()
+            } else {
+                tree.to_string_compact()
+            };
+            assert_eq!(out, want);
+        }
     }
 
     #[test]

@@ -339,6 +339,61 @@ set -e
 serve_pid=""
 [ "$rc" -eq 0 ] || { echo "serve smoke: shutdown-frame drain exited $rc, want 0"; exit 1; }
 
+echo "==> serve poison smoke: a contained panic leaves the tenant state untouched"
+# A daemon armed with CONFANON_SERVE_FAULT_MARKER takes a clean, a
+# poisoned and a clean request; the poisoned one (a whole corpus config
+# plus the marker, so it maps fresh addresses before it panics) must be
+# answered with ERROR. After the SIGTERM drain, the tenant's state.json
+# must be byte-identical to that of a daemon fed only the two clean
+# requests: the request was rolled back, not half-committed.
+poison_dir="$serve_dir/poison"
+mkdir -p "$poison_dir"
+p_cfg=$(find "$corpus_dir" -name '*.cfg' | sort | sed -n 2p)
+
+poison_run() {
+    run=$1
+    cat > "$poison_dir/$run.toml" <<POISONCFG
+[tenant.alpha]
+secret = "alpha-poison-secret"
+state_dir = "$poison_dir/state-$run"
+POISONCFG
+    : > "$poison_dir/$run.port"
+    CONFANON_SERVE_FAULT_MARKER=POISON-PILL ./target/release/confanon serve \
+        --config "$poison_dir/$run.toml" --listen 127.0.0.1:0 \
+        --port-file "$poison_dir/$run.port" &
+    serve_pid=$!
+    for _ in $(seq 1 200); do
+        [ -s "$poison_dir/$run.port" ] && break
+        sleep 0.05
+    done
+    [ -s "$poison_dir/$run.port" ] || { echo "serve poison smoke: daemon never advertised"; exit 1; }
+    client="./target/release/confanon client --endpoint $(cat "$poison_dir/$run.port")"
+    $client anon --tenant alpha --name a.cfg "$a_cfg" > /dev/null
+    if [ "$run" = poisoned ]; then
+        set +e
+        { cat "$p_cfg"; echo "hostname POISON-PILL"; } | \
+            $client anon --tenant alpha --name p.cfg > /dev/null 2> "$poison_dir/poison.err"
+        code=$?
+        set -e
+        if [ "$code" -eq 0 ] || ! grep -q ERROR "$poison_dir/poison.err"; then
+            echo "serve poison smoke: poisoned request was not answered with ERROR"; exit 1
+        fi
+    fi
+    $client anon --tenant alpha --name b.cfg "$b_cfg" > /dev/null
+    kill -TERM "$serve_pid"
+    set +e
+    wait "$serve_pid"
+    rc=$?
+    set -e
+    serve_pid=""
+    [ "$rc" -eq 0 ] || { echo "serve poison smoke: drain exited $rc, want 0"; exit 1; }
+}
+poison_run poisoned
+poison_run clean
+cmp "$poison_dir/state-poisoned/state.json" "$poison_dir/state-clean/state.json" || {
+    echo "serve poison smoke: the poisoned request left a trace in state.json"; exit 1;
+}
+
 echo "==> serve-chaos smoke: hostile wire via the netchaos proxy"
 # Put the seeded fault-injecting proxy (torn frames, dribbles, garbage,
 # mid-frame disconnects — all a pure function of --seed) in front of a

@@ -183,7 +183,8 @@ fn main() -> ExitCode {
                  \u{20}   leak record (JSON with asns/ips/words arrays).\n\
                  metrics [--deterministic] [--trace FILE] [--serve FILE] [FILE]\n\
                  \u{20}   Validate a metrics.json (or, with --trace, a trace file; with\n\
-                 \u{20}   --serve, a confanon-serve-metrics-v1 stats frame).\n\
+                 \u{20}   --serve, a confanon-serve-metrics-v1 stats frame, printing each\n\
+                 \u{20}   tenant's request stage timing in microseconds).\n\
                  \u{20}   --deterministic prints only the deterministic section, for\n\
                  \u{20}   diffing two runs.\n\
                  audit --risk --pre-dir DIR --post-dir DIR --secret <secret>\n\
@@ -1489,6 +1490,8 @@ fn cmd_scan(args: &[String]) -> ExitCode {
 ///   deterministic section (pretty), so two runs can be `diff`ed.
 /// * `confanon metrics --trace FILE` — parse and shape-check a Chrome
 ///   trace file instead.
+/// * `confanon metrics --serve FILE` — shape-check a serve stats frame
+///   and print each tenant's request stage timing.
 fn cmd_metrics(args: &[String]) -> ExitCode {
     let (opts, files) = parse_opts(args);
 
@@ -1542,6 +1545,9 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
                     "{frame_path}: valid {} ({tenants} tenant(s))",
                     confanon::obs::SERVE_METRICS_SCHEMA
                 );
+                for line in confanon::obs::serve_timing_lines(&doc) {
+                    println!("{line}");
+                }
                 ExitCode::SUCCESS
             }
             Err(e) => {
