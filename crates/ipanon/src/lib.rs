@@ -40,6 +40,8 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod cryptopan;
+#[cfg(test)]
+mod pinned;
 mod scramble;
 mod trie;
 mod trie6;
