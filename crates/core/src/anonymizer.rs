@@ -1452,37 +1452,13 @@ impl Anonymizer {
     /// Folds a finished shard worker's order-independent accumulators
     /// into `self` (all commutative merges) and returns its observation
     /// log for the canonical replay.
-    pub(crate) fn absorb_observer(&mut self, shard: Anonymizer) -> ObservationLog {
-        self.record.merge(&shard.record);
-        self.emitted.extend(shard.emitted);
+    pub(crate) fn absorb_observer(&mut self, mut shard: Anonymizer) -> ObservationLog {
+        self.record.append(&mut shard.record);
+        self.emitted.append(&mut shard.emitted);
         self.total_stats.merge(&shard.total_stats);
         self.prefilter_stats.absorb(&shard.prefilter_stats);
         self.rewrite_stats.absorb(&shard.rewrite_stats);
         shard.observe.unwrap_or_default()
-    }
-
-    /// Replays one observed identifier against the real mapping state:
-    /// computes its image (mutating the trie exactly as the deferred
-    /// `map_ip`/`map_ip6` call would have), records the original in the
-    /// leak record, and records the emitted exclusion — each exactly
-    /// once per identifier, where the sequential scan pays per
-    /// occurrence. Called in canonical first-occurrence order.
-    pub(crate) fn replay_observed(&mut self, obs: ObservedIp) {
-        self.journal.note(obs);
-        let (original, image) = match obs {
-            ObservedIp::V4(ip) => (
-                ip.to_string(),
-                match self.cfg.ip_scheme {
-                    IpScheme::StructurePreserving => self.ip.anonymize(ip).to_string(),
-                    IpScheme::Scramble => self.scramble.anonymize(ip).to_string(),
-                },
-            ),
-            ObservedIp::V6(ip) => (ip.to_string(), self.ip6.anonymize(ip).to_string()),
-        };
-        if self.enabled(RuleId::R28LeakHighlighting) {
-            self.note(Acc::Ip, original);
-        }
-        self.note(Acc::Emitted, image);
     }
 
     /// Prefilter fast/slow/cache counters accumulated so far (summed in
@@ -1511,14 +1487,43 @@ impl Anonymizer {
         &self.journal.order
     }
 
-    /// Replays a persisted identifier journal into this (fresh)
-    /// anonymizer: rebuilds the tries through the original insertion
-    /// sequence and re-populates the journal itself, the leak record's
-    /// address entries, and the emitted-image set.
+    /// Replays identifiers, in order, against the real mapping state:
+    /// a persisted journal on state restore, or sharded discovery's
+    /// observations in canonical first-occurrence order. Each one is
+    /// journaled and mapped exactly as the deferred `map_ip`/`map_ip6`
+    /// call would have (mutating the tries), once per identifier where
+    /// the sequential scan pays per occurrence. Originals (leak record)
+    /// and images (emitted set) are collected and merged in bulk: one
+    /// sort and one linear [`BTreeSet::append`] per set instead of a
+    /// tree insert per identifier. Panics inside an open transaction,
+    /// whose per-item pending delta this bypasses.
     pub fn replay_journal(&mut self, entries: &[ObservedIp]) {
+        assert!(
+            self.txn.is_none(),
+            "Anonymizer::replay_journal inside an open transaction"
+        );
+        let record_ips = self.enabled(RuleId::R28LeakHighlighting);
+        let mut originals = Vec::with_capacity(if record_ips { entries.len() } else { 0 });
+        let mut images = Vec::with_capacity(entries.len());
         for &obs in entries {
-            self.replay_observed(obs);
+            self.journal.note(obs);
+            let (original, image) = match obs {
+                ObservedIp::V4(ip) => (
+                    ip.to_string(),
+                    match self.cfg.ip_scheme {
+                        IpScheme::StructurePreserving => self.ip.anonymize(ip).to_string(),
+                        IpScheme::Scramble => self.scramble.anonymize(ip).to_string(),
+                    },
+                ),
+                ObservedIp::V6(ip) => (ip.to_string(), self.ip6.anonymize(ip).to_string()),
+            };
+            if record_ips {
+                originals.push(original);
+            }
+            images.push(image);
         }
+        self.record.ips.append(&mut originals.into_iter().collect());
+        self.emitted.append(&mut images.into_iter().collect());
     }
 
     /// Merges a persisted leak record (word/ASN entries have no trie
@@ -1527,9 +1532,10 @@ impl Anonymizer {
         self.record.merge(record);
     }
 
-    /// Merges persisted emitted-image exclusions.
+    /// Merges persisted emitted-image exclusions, in bulk (see
+    /// [`LeakRecord::append`]).
     pub fn extend_emitted(&mut self, images: impl IntoIterator<Item = String>) {
-        self.emitted.extend(images);
+        self.emitted.append(&mut images.into_iter().collect());
     }
 
     /// Folds an externally stored per-file stats block into the running
@@ -1543,6 +1549,12 @@ impl Anonymizer {
     pub fn absorb_prefilter_counts(&mut self, fast_path_lines: u64, slow_path_lines: u64) {
         self.prefilter_stats.fast_path_lines += fast_path_lines;
         self.prefilter_stats.slow_path_lines += slow_path_lines;
+    }
+
+    /// Keyed-hash calls the (v4 + v6) tries have made to derive node
+    /// flips — the trie layer's share of the HMAC-SHA1 work.
+    pub fn trie_prf_calls(&self) -> u64 {
+        self.ip.prf_calls() + self.ip6.prf_calls()
     }
 
     /// Structure digests of the (v4, v6) tries — the post-replay

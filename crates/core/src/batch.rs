@@ -567,9 +567,7 @@ impl BatchPipeline {
             obs.merge(&shard);
             log.merge(self.anonymizer.absorb_observer(anon));
         }
-        for observed in log.into_canonical_order() {
-            self.anonymizer.replay_observed(observed);
-        }
+        self.anonymizer.replay_journal(&log.into_canonical_order());
     }
 
     /// Single-worker rewrite. Uses a clone (not the retained anonymizer)

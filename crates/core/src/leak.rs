@@ -34,11 +34,18 @@ pub struct LeakRecord {
 }
 
 impl LeakRecord {
-    /// Merges another record into this one.
+    /// Merges another record into this one (see [`Self::append`]).
     pub fn merge(&mut self, other: &LeakRecord) {
-        self.asns.extend(other.asns.iter().cloned());
-        self.ips.extend(other.ips.iter().cloned());
-        self.words.extend(other.words.iter().cloned());
+        self.append(&mut other.clone());
+    }
+
+    /// Moves every item of `other` into this record, leaving `other`
+    /// empty. Each set merges in bulk ([`BTreeSet::append`]): one linear
+    /// pass over both, not a tree descent per item.
+    pub fn append(&mut self, other: &mut LeakRecord) {
+        self.asns.append(&mut other.asns);
+        self.ips.append(&mut other.ips);
+        self.words.append(&mut other.words);
     }
 
     /// Total recorded items.

@@ -7,6 +7,8 @@
 //! addresses remain plausibly global unicast), link-local `fe80::/10`
 //! and multicast `ff00::/8` regions map to themselves, and trailing
 //! zeros are preserved at first sight (subnet-address readability, §3.2).
+//! A fresh 0-child inherits its parent's raw keyed bit, exactly as in
+//! the v4 trie (see its module docs).
 
 use confanon_crypto::Prf;
 use confanon_netprim::{special6_kind, Ip6};
@@ -17,8 +19,12 @@ const NONE: u32 = u32::MAX;
 #[derive(Clone, Copy)]
 struct Node {
     flip: bool,
+    /// Raw keyed bit of the input path, once known (see the v4 `Node`).
+    raw: Option<bool>,
     child: [u32; 2],
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 12);
 
 /// The IPv6 trie anonymizer.
 #[derive(Clone)]
@@ -28,6 +34,8 @@ pub struct Ip6Anonymizer {
     /// Per-depth PRF salt, precomputed once (pure function of the secret
     /// and depth — see [`crate::IpAnonymizer`]'s identical cache).
     depth_salts: [bool; 129],
+    /// Keyed-hash calls made for node flips (see [`Self::prf_calls`]).
+    prf_calls: u64,
 }
 
 /// Protected prefix regions: (leading bits left-aligned in u128, length).
@@ -50,9 +58,11 @@ impl Ip6Anonymizer {
             prf,
             nodes: Vec::with_capacity(1024),
             depth_salts,
+            prf_calls: 0,
         };
         a.nodes.push(Node {
             flip: false, // bit 0 pinned (see `forced_identity`)
+            raw: None,
             child: [NONE, NONE],
         });
         a
@@ -85,6 +95,12 @@ impl Ip6Anonymizer {
     /// Number of trie nodes allocated.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Keyed-hash calls made to derive node flips since construction
+    /// (see [`crate::IpAnonymizer::prf_calls`]).
+    pub fn prf_calls(&self) -> u64 {
+        self.prf_calls
     }
 
     /// FNV-1a digest of the node table (see
@@ -141,15 +157,20 @@ impl Ip6Anonymizer {
             let next_path = path | (u128::from(in_bit) << (127 - depth));
             if depth < 127 {
                 if self.nodes[node].child[idx] == NONE {
-                    let flip = if Self::forced_identity(next_path, depth + 1, trailing_zero_from)
-                    {
-                        false
-                    } else {
-                        self.prf.bit("ip6trie", &next_path.to_be_bytes()[..])
-                            ^ self.depth_salts[usize::from(depth) + 1]
-                    };
+                    let inherited = if in_bit { None } else { self.nodes[node].raw };
+                    let (flip, raw) =
+                        if Self::forced_identity(next_path, depth + 1, trailing_zero_from) {
+                            (false, inherited)
+                        } else {
+                            let raw = inherited.unwrap_or_else(|| {
+                                self.prf_calls += 1;
+                                self.prf.bit("ip6trie", &next_path.to_be_bytes()[..])
+                            });
+                            (raw ^ self.depth_salts[usize::from(depth) + 1], Some(raw))
+                        };
                     self.nodes.push(Node {
                         flip,
+                        raw,
                         child: [NONE, NONE],
                     });
                     let new_id = (self.nodes.len() - 1) as u32;

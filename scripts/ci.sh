@@ -223,8 +223,9 @@ echo "==> incremental smoke: --state warm runs match from-scratch runs"
 # Cold run over the corpus with --state, append three generated configs
 # (a second generator network — its files sort after the originals, the
 # append-growth precondition), then warm-rerun and demand byte-identity
-# with from-scratch runs over the grown corpus at --jobs 1 and 4. The
-# metrics `state` block must account for every skipped file.
+# with from-scratch runs over the grown corpus at --jobs 1 and 4, both
+# in the released files and in the saved state.json. The metrics
+# `state` block must account for every skipped file.
 incr_dir="$(mktemp -d)"
 trap 'rm -rf "$corpus_dir" "$obs_dir" "$chaos_dir" "$crash_dir" "$incr_dir"' EXIT
 
@@ -256,6 +257,9 @@ for jobs in 1 4; do
         --out-dir "$incr_dir/out-scratch-$jobs" --state "$incr_dir/st-scratch-$jobs"
     diff -r "$incr_dir/out-warm" "$incr_dir/out-scratch-$jobs" || {
         echo "incremental smoke: warm run differs from scratch at --jobs $jobs"; exit 1;
+    }
+    cmp "$incr_dir/st-warm/state.json" "$incr_dir/st-scratch-$jobs/state.json" || {
+        echo "incremental smoke: warm state differs from scratch at --jobs $jobs"; exit 1;
     }
     grep -q "\"files_skipped\": $small_n" "$incr_dir/metrics-warm.json" || {
         echo "incremental smoke: warm run did not skip all $small_n unchanged files"; exit 1;

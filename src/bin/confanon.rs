@@ -68,7 +68,7 @@ use confanon::core::{
     AnonymizerConfig, DurabilityStats, FileDiscovery, Publisher, RunManifest, StdFs, ALL_RULES,
     RUN_MANIFEST_NAME,
 };
-use confanon::core::state::{state_path, FileMark};
+use confanon::core::state::{state_path, FileMark, StateView};
 use confanon::iosparse::Config;
 use confanon::obs::{
     chrome_trace_json, is_observability_artifact, metrics_doc, validate_metrics, validate_trace,
@@ -831,11 +831,13 @@ fn cmd_batch(args: &[String]) -> ExitCode {
                 })
             })
             .collect();
-        let state = AnonState::capture(&run.anonymizer, fingerprint.clone(), marks);
+        let perm_params = run.anonymizer.perm_fingerprint();
+        let mut doc = String::new();
+        StateView::of(&run.anonymizer, &fingerprint, &perm_params, &marks).write(&mut doc);
         let target = state_path(sdir);
         let result = match &mut publisher {
-            Some(p) => p.write_report(&target, &state.to_bytes()),
-            None => write_atomic(&StdFs, &target, &state.to_bytes(), &mut durability),
+            Some(p) => p.write_report(&target, doc.as_bytes()),
+            None => write_atomic(&StdFs, &target, doc.as_bytes(), &mut durability),
         };
         if let Err(e) = result {
             let e = match e {

@@ -288,9 +288,21 @@ impl GatedCorpusRun {
     /// rewrite/gate counters, span aggregates) that legitimately varies
     /// with `--jobs`, `--resume`, and the wall clock. Callers append
     /// durability and elapsed-time fields before serializing.
+    ///
+    /// `trie` counts the trie layer's work in this process: keyed-hash
+    /// calls and nodes created (v4 + v6, roots excluded). A warm run
+    /// rebuilds its tries by journal replay, so these count the replay
+    /// too and differ from the cold run's; hence this section.
     pub fn metrics_timing_json(&self) -> Json {
+        let (trie4, trie6) = self.anonymizer.trie_node_counts();
         Json::obj()
             .with("jobs", self.jobs as u64)
+            .with(
+                "trie",
+                Json::obj()
+                    .with("prf_calls", self.anonymizer.trie_prf_calls())
+                    .with("nodes_created", (trie4 + trie6 - 2) as u64),
+            )
             .with(
                 "counters",
                 counters_with_prefixes(

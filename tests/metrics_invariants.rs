@@ -329,9 +329,22 @@ fn timing_section_carries_spans_and_is_separate() {
         assert!(n > 0, "category {cat:?} recorded no spans");
     }
     assert!(timing.get("jobs").is_some());
+    // Trie work: never more than one keyed hash per node created.
+    let trie = |k: &str| {
+        timing
+            .get("trie")
+            .and_then(|t| t.get(k))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("missing trie count {k:?}"))
+    };
+    let (prf_calls, nodes) = (trie("prf_calls"), trie("nodes_created"));
+    assert!(prf_calls > 0 && prf_calls <= nodes, "{prf_calls} PRF calls for {nodes} nodes");
+    let (n4, n6) = run.anonymizer.trie_node_counts();
+    assert_eq!(nodes, (n4 + n6 - 2) as u64);
 
     let det = run.metrics_deterministic_json();
     assert!(det.get("spans").is_none(), "spans are wall-clock data");
+    assert!(det.get("trie").is_none(), "trie work counts the process's replay");
     let counters = det.get("counters").expect("counters");
     if let Json::Obj(pairs) = counters {
         for (k, _) in pairs {
