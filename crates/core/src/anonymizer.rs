@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use confanon_asnanon::rewrite::{rewrite_aspath_regex_full, rewrite_community_regex_full};
 use confanon_asnanon::{AsnMap, CommunityMap, LargeCommunityMap, RewriteOptions};
@@ -18,7 +19,7 @@ use confanon_iosparse::{
     CLASS_ALPHA, CLASS_DIGIT,
 };
 use confanon_ipanon::{Ip6Anonymizer, IpAnonymizer, RandomScramble};
-use confanon_netprim::{special6_kind, special_kind, Ip, Ip6};
+use confanon_netprim::{Ip, Ip6};
 
 use crate::discover::{ObservationLog, ObservedIp};
 use crate::error::BatchPhase;
@@ -164,9 +165,9 @@ pub struct Anonymizer {
     /// between the discovery and emit passes.
     rewrite_stats: RewriteStats,
     /// `Some` only on shard-scan clones during sharded discovery: instead
-    /// of mutating the tries, [`Anonymizer::map_ip`]/[`Anonymizer::map_ip6`]
-    /// log the address's first corpus position here for the canonical
-    /// replay. See [`crate::discover`].
+    /// of mutating the tries, [`Anonymizer::map_ip`] logs the address's
+    /// first corpus position here for the canonical replay. See
+    /// [`crate::discover`].
     observe: Option<ObservationLog>,
     /// Append-only journal of every distinct trie-mapped identifier in
     /// first-mapped order — the replayable transcript persistent state
@@ -223,32 +224,30 @@ struct Checkpoint {
 }
 
 /// The identifier journal: distinct mapped addresses in first-mapped
-/// order (see [`Anonymizer::journal`]).
+/// order (see [`Anonymizer::journal`]). Clones share it until one of
+/// them maps an address it does not hold: rewrite workers and shard
+/// observers only look addresses up, so they never copy it.
 #[derive(Clone, Default)]
 struct IdJournal {
-    seen4: HashSet<u32>,
-    seen6: HashSet<u128>,
-    order: Vec<ObservedIp>,
+    seen: Arc<HashSet<ObservedIp>>,
+    order: Arc<Vec<ObservedIp>>,
 }
 
 impl IdJournal {
     fn note(&mut self, obs: ObservedIp) {
-        let fresh = match obs {
-            ObservedIp::V4(ip) => self.seen4.insert(ip.0),
-            ObservedIp::V6(ip) => self.seen6.insert(ip.0),
-        };
-        if fresh {
-            self.order.push(obs);
+        if !self.seen.contains(&obs) {
+            Arc::make_mut(&mut self.seen).insert(obs);
+            Arc::make_mut(&mut self.order).push(obs);
         }
     }
 
     /// Forgets every entry past the first `len` (transaction rollback).
     fn truncate(&mut self, len: usize) {
-        for obs in self.order.drain(len.min(self.order.len())..) {
-            match obs {
-                ObservedIp::V4(ip) => self.seen4.remove(&ip.0),
-                ObservedIp::V6(ip) => self.seen6.remove(&ip.0),
-            };
+        if len < self.order.len() {
+            let seen = Arc::make_mut(&mut self.seen);
+            for obs in Arc::make_mut(&mut self.order).drain(len..) {
+                seen.remove(&obs);
+            }
         }
     }
 }
@@ -1078,7 +1077,7 @@ impl Anonymizer {
             // R22/R24/R25: IPv4 literal.
             if let Ok(ip) = tok.parse::<Ip>() {
                 if self.enabled(RuleId::R22Ipv4Literal) {
-                    let mapped = self.map_ip(ip, stats);
+                    let mapped = self.map_ip(ObservedIp::V4(ip), stats);
                     return self.emit.then(|| mapped.to_string());
                 }
                 return None;
@@ -1088,7 +1087,7 @@ impl Anonymizer {
                 if let (Ok(ip), Ok(len)) = (addr.parse::<Ip>(), len.parse::<u8>()) {
                     if len <= 32 && self.enabled(RuleId::R23PrefixToken) {
                         stats.fire(RuleId::R23PrefixToken);
-                        let mapped = self.map_ip(ip, stats);
+                        let mapped = self.map_ip(ObservedIp::V4(ip), stats);
                         return self.emit.then(|| format!("{mapped}/{len}"));
                     }
                     return None;
@@ -1212,14 +1211,14 @@ impl Anonymizer {
             return None;
         }
         if let Ok(ip6) = tok.parse::<Ip6>() {
-            let mapped = self.map_ip6(ip6, stats);
+            let mapped = self.map_ip(ObservedIp::V6(ip6), stats);
             return Some(self.emit.then(|| mapped.to_string()));
         }
         if let Some((addr, len)) = tok.rsplit_once('/') {
             if let (Ok(ip6), Ok(len)) = (addr.parse::<Ip6>(), len.parse::<u8>()) {
                 if len <= 128 {
                     stats.fire(RuleId::R23PrefixToken);
-                    let mapped = self.map_ip6(ip6, stats);
+                    let mapped = self.map_ip(ObservedIp::V6(ip6), stats);
                     return Some(self.emit.then(|| format!("{mapped}/{len}")));
                 }
             }
@@ -1236,7 +1235,7 @@ impl Anonymizer {
         // R22/R24/R25: IPv4 literal.
         if let Ok(ip) = tok.parse::<Ip>() {
             if self.enabled(RuleId::R22Ipv4Literal) {
-                let mapped = self.map_ip(ip, stats);
+                let mapped = self.map_ip(ObservedIp::V4(ip), stats);
                 return if self.emit { mapped.to_string() } else { String::new() };
             }
             return self.keep(tok);
@@ -1246,7 +1245,7 @@ impl Anonymizer {
             if let (Ok(ip), Ok(len)) = (addr.parse::<Ip>(), len.parse::<u8>()) {
                 if len <= 32 && self.enabled(RuleId::R23PrefixToken) {
                     stats.fire(RuleId::R23PrefixToken);
-                    let mapped = self.map_ip(ip, stats);
+                    let mapped = self.map_ip(ObservedIp::V4(ip), stats);
                     return if self.emit {
                         format!("{mapped}/{len}")
                     } else {
@@ -1285,14 +1284,14 @@ impl Anonymizer {
         // colon-bearing token that parses as IPv6 is one.
         if tok.contains(':') && self.enabled(RuleId::R22Ipv4Literal) {
             if let Ok(ip6) = tok.parse::<Ip6>() {
-                let mapped = self.map_ip6(ip6, stats);
+                let mapped = self.map_ip(ObservedIp::V6(ip6), stats);
                 return if self.emit { mapped.to_string() } else { String::new() };
             }
             if let Some((addr, len)) = tok.rsplit_once('/') {
                 if let (Ok(ip6), Ok(len)) = (addr.parse::<Ip6>(), len.parse::<u8>()) {
                     if len <= 128 {
                         stats.fire(RuleId::R23PrefixToken);
-                        let mapped = self.map_ip6(ip6, stats);
+                        let mapped = self.map_ip(ObservedIp::V6(ip6), stats);
                         return if self.emit {
                             format!("{mapped}/{len}")
                         } else {
@@ -1360,70 +1359,59 @@ impl Anonymizer {
         }
     }
 
-    /// Maps one address with recording and stats.
-    fn map_ip(&mut self, ip: Ip, stats: &mut AnonymizationStats) -> Ip {
-        if special_kind(ip).is_some()
-            && self.enabled(RuleId::R25SpecialAddressPassthrough) {
-                stats.fire(RuleId::R25SpecialAddressPassthrough);
-                stats.ips_special_passthrough += 1;
-                return ip;
-            }
-            // Ablation: treat as ordinary (this is precisely the bug the
-            // rule exists to prevent; the validation suite catches it).
-        stats.fire(RuleId::R22Ipv4Literal);
-        if self.enabled(RuleId::R24SubnetAddressPreserve) && ip.0.trailing_zeros() >= 8 {
-            // Subnet-address preservation applies to this mapping.
-            stats.fire(RuleId::R24SubnetAddressPreserve);
+    /// Maps one address, of either family, with recording and stats.
+    fn map_ip(&mut self, obs: ObservedIp, stats: &mut AnonymizationStats) -> ObservedIp {
+        if obs.is_special() && self.enabled(RuleId::R25SpecialAddressPassthrough) {
+            stats.fire(RuleId::R25SpecialAddressPassthrough);
+            stats.ips_special_passthrough += 1;
+            return obs;
         }
-        stats.ips_mapped += 1;
+        // With R25 disabled a special is treated as ordinary (precisely
+        // the bug the rule exists to prevent; the validation suite
+        // catches it).
+        stats.fire(RuleId::R22Ipv4Literal);
+        match obs {
+            ObservedIp::V4(ip) => {
+                if self.enabled(RuleId::R24SubnetAddressPreserve) && ip.0.trailing_zeros() >= 8 {
+                    // Subnet-address preservation applies to this mapping.
+                    stats.fire(RuleId::R24SubnetAddressPreserve);
+                }
+                stats.ips_mapped += 1;
+            }
+            ObservedIp::V6(_) => stats.ips6_mapped += 1,
+        }
         // Shard-scan observe mode: the image depends on shared trie
         // order, so defer it — along with the leak-record and emitted-set
         // entries, which are per-identifier, not per-occurrence — to the
         // canonical replay. The return value only feeds output assembly,
         // which discovery discards.
         if let Some(log) = self.observe.as_mut() {
-            log.note_v4(ip);
-            return ip;
+            log.note(obs);
+            return obs;
         }
-        self.journal.note(ObservedIp::V4(ip));
+        self.journal.note(obs);
         if self.enabled(RuleId::R28LeakHighlighting) {
-            self.note(Acc::Ip, ip.to_string());
+            self.note(Acc::Ip, obs.to_string());
         }
-        let image = match self.cfg.ip_scheme {
-            IpScheme::StructurePreserving => self.ip.anonymize(ip),
-            IpScheme::Scramble => self.scramble.anonymize(ip),
-        };
+        let image = self.image(obs);
         self.note(Acc::Emitted, image.to_string());
         image
+    }
+
+    /// The image of one address under the configured scheme (the v6 trie
+    /// has no scramble counterpart). Mutates the tries.
+    fn image(&mut self, obs: ObservedIp) -> ObservedIp {
+        match obs {
+            ObservedIp::V4(ip) => ObservedIp::V4(match self.cfg.ip_scheme {
+                IpScheme::StructurePreserving => self.ip.anonymize(ip),
+                IpScheme::Scramble => self.scramble.anonymize(ip),
+            }),
+            ObservedIp::V6(ip) => ObservedIp::V6(self.ip6.anonymize(ip)),
+        }
     }
 }
 
 impl Anonymizer {
-    /// Maps one IPv6 address with recording and stats.
-    fn map_ip6(&mut self, ip: Ip6, stats: &mut AnonymizationStats) -> Ip6 {
-        if special6_kind(ip).is_some()
-            && self.enabled(RuleId::R25SpecialAddressPassthrough) {
-                stats.fire(RuleId::R25SpecialAddressPassthrough);
-                stats.ips_special_passthrough += 1;
-                return ip;
-            }
-        stats.fire(RuleId::R22Ipv4Literal);
-        stats.ips6_mapped += 1;
-        // See `map_ip`: trie-order-dependent and per-identifier work
-        // defers to the replay.
-        if let Some(log) = self.observe.as_mut() {
-            log.note_v6(ip);
-            return ip;
-        }
-        self.journal.note(ObservedIp::V6(ip));
-        if self.enabled(RuleId::R28LeakHighlighting) {
-            self.note(Acc::Ip, ip.to_string());
-        }
-        let image = self.ip6.anonymize(ip);
-        self.note(Acc::Emitted, image.to_string());
-        image
-    }
-
     /// A clone prepared for one sharded-discovery worker: empty
     /// accumulators (so absorbing it back never double-counts) and an
     /// armed observation log (so its scans log trie insertions instead of
@@ -1490,8 +1478,8 @@ impl Anonymizer {
     /// Replays identifiers, in order, against the real mapping state:
     /// a persisted journal on state restore, or sharded discovery's
     /// observations in canonical first-occurrence order. Each one is
-    /// journaled and mapped exactly as the deferred `map_ip`/`map_ip6`
-    /// call would have (mutating the tries), once per identifier where
+    /// journaled and mapped exactly as the deferred `map_ip` call would
+    /// have (mutating the tries), once per identifier where
     /// the sequential scan pays per occurrence. Originals (leak record)
     /// and images (emitted set) are collected and merged in bulk: one
     /// sort and one linear [`BTreeSet::append`] per set instead of a
@@ -1507,20 +1495,10 @@ impl Anonymizer {
         let mut images = Vec::with_capacity(entries.len());
         for &obs in entries {
             self.journal.note(obs);
-            let (original, image) = match obs {
-                ObservedIp::V4(ip) => (
-                    ip.to_string(),
-                    match self.cfg.ip_scheme {
-                        IpScheme::StructurePreserving => self.ip.anonymize(ip).to_string(),
-                        IpScheme::Scramble => self.scramble.anonymize(ip).to_string(),
-                    },
-                ),
-                ObservedIp::V6(ip) => (ip.to_string(), self.ip6.anonymize(ip).to_string()),
-            };
             if record_ips {
-                originals.push(original);
+                originals.push(obs.to_string());
             }
-            images.push(image);
+            images.push(self.image(obs).to_string());
         }
         self.record.ips.append(&mut originals.into_iter().collect());
         self.emitted.append(&mut images.into_iter().collect());
@@ -2007,13 +1985,7 @@ impl Anonymizer {
             .collect();
         let addresses = ips
             .into_iter()
-            .map(|ip| {
-                let image = match self.cfg.ip_scheme {
-                    IpScheme::StructurePreserving => self.ip.anonymize(ip),
-                    IpScheme::Scramble => self.scramble.anonymize(ip),
-                };
-                (ip.to_string(), image.to_string())
-            })
+            .map(|ip| (ip.to_string(), self.image(ObservedIp::V4(ip)).to_string()))
             .collect();
         let words = self
             .record

@@ -23,8 +23,9 @@
 //! [`crate::batch::BatchPipeline`] for the surrounding machinery.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use confanon_netprim::{Ip, Ip6};
+use confanon_netprim::{special6_kind, special_kind, Ip, Ip6};
 
 /// Corpus position of an observation: `(file index, in-file sequence)`.
 ///
@@ -33,13 +34,34 @@ use confanon_netprim::{Ip, Ip6};
 /// are totally ordered and unique across both address families.
 pub type ObsPos = (u64, u64);
 
-/// One trie-mutating identifier observed during a discovery shard's scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One trie-mutated address of either family: what the anonymizer maps,
+/// what its journal records, and what a discovery shard observes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ObservedIp {
     /// An IPv4 address that would have been mapped through the v4 trie.
     V4(Ip),
     /// An IPv6 address that would have been mapped through the v6 trie.
     V6(Ip6),
+}
+
+impl ObservedIp {
+    /// Whether the address is special for its family (it passes through
+    /// unmapped under rule R25).
+    pub fn is_special(self) -> bool {
+        match self {
+            ObservedIp::V4(ip) => special_kind(ip).is_some(),
+            ObservedIp::V6(ip) => special6_kind(ip).is_some(),
+        }
+    }
+}
+
+impl fmt::Display for ObservedIp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ObservedIp::V4(ip) => ip.fmt(f),
+            ObservedIp::V6(ip) => ip.fmt(f),
+        }
+    }
 }
 
 /// A log of first observations of trie-mutating identifiers, keyed by
@@ -52,8 +74,7 @@ pub enum ObservedIp {
 #[derive(Debug, Clone, Default)]
 pub struct ObservationLog {
     cursor: ObsPos,
-    v4: BTreeMap<Ip, ObsPos>,
-    v6: BTreeMap<Ip6, ObsPos>,
+    first: BTreeMap<ObservedIp, ObsPos>,
 }
 
 impl ObservationLog {
@@ -62,57 +83,37 @@ impl ObservationLog {
         self.cursor = (file_idx, 0);
     }
 
-    /// Records a v4 address at the current cursor position, keeping the
+    /// Records an address at the current cursor position, keeping the
     /// earliest position if it was already seen.
-    pub fn note_v4(&mut self, ip: Ip) {
-        let pos = self.next_pos();
-        self.v4
-            .entry(ip)
-            .and_modify(|p| *p = (*p).min(pos))
-            .or_insert(pos);
-    }
-
-    /// Records a v6 address at the current cursor position, keeping the
-    /// earliest position if it was already seen.
-    pub fn note_v6(&mut self, ip: Ip6) {
-        let pos = self.next_pos();
-        self.v6
-            .entry(ip)
-            .and_modify(|p| *p = (*p).min(pos))
-            .or_insert(pos);
-    }
-
-    fn next_pos(&mut self) -> ObsPos {
-        let p = self.cursor;
+    pub fn note(&mut self, obs: ObservedIp) {
+        let pos = self.cursor;
         self.cursor.1 += 1;
-        p
+        self.keep_first(obs, pos);
+    }
+
+    fn keep_first(&mut self, obs: ObservedIp, pos: ObsPos) {
+        self.first
+            .entry(obs)
+            .and_modify(|p| *p = (*p).min(pos))
+            .or_insert(pos);
     }
 
     /// Folds another log in, keeping the earliest position per
     /// identifier. Commutative: merge order cannot change the result.
     pub fn merge(&mut self, other: ObservationLog) {
-        for (ip, pos) in other.v4 {
-            self.v4
-                .entry(ip)
-                .and_modify(|p| *p = (*p).min(pos))
-                .or_insert(pos);
-        }
-        for (ip, pos) in other.v6 {
-            self.v6
-                .entry(ip)
-                .and_modify(|p| *p = (*p).min(pos))
-                .or_insert(pos);
+        for (obs, pos) in other.first {
+            self.keep_first(obs, pos);
         }
     }
 
     /// Number of distinct identifiers recorded (v4 + v6).
     pub fn len(&self) -> usize {
-        self.v4.len() + self.v6.len()
+        self.first.len()
     }
 
     /// `true` when no identifier has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.v4.is_empty() && self.v6.is_empty()
+        self.first.is_empty()
     }
 
     /// The observed identifiers sorted by first corpus position — the
@@ -121,14 +122,10 @@ impl ObservationLog {
     /// every observation consumes a unique position) break on the
     /// identifier itself so the order is total in every case.
     pub fn into_canonical_order(self) -> Vec<ObservedIp> {
-        let mut all: Vec<(ObsPos, ObservedIp)> = self
-            .v4
-            .into_iter()
-            .map(|(ip, pos)| (pos, ObservedIp::V4(ip)))
-            .chain(self.v6.into_iter().map(|(ip, pos)| (pos, ObservedIp::V6(ip))))
-            .collect();
+        let mut all: Vec<(ObsPos, ObservedIp)> =
+            self.first.into_iter().map(|(obs, pos)| (pos, obs)).collect();
         all.sort_unstable();
-        all.into_iter().map(|(_, ip)| ip).collect()
+        all.into_iter().map(|(_, obs)| obs).collect()
     }
 }
 
@@ -136,39 +133,36 @@ impl ObservationLog {
 mod tests {
     use super::*;
 
-    fn v4(n: u32) -> Ip {
-        Ip(n)
+    fn v4(n: u32) -> ObservedIp {
+        ObservedIp::V4(Ip(n))
+    }
+
+    fn v6(n: u128) -> ObservedIp {
+        ObservedIp::V6(Ip6(n))
     }
 
     #[test]
     fn canonical_order_is_first_occurrence_order() {
         let mut log = ObservationLog::default();
         log.begin_file(0);
-        log.note_v4(v4(30));
-        log.note_v4(v4(10));
-        log.note_v4(v4(30)); // repeat: keeps the earlier position
+        log.note(v4(30));
+        log.note(v4(10));
+        log.note(v4(30)); // repeat: keeps the earlier position
         log.begin_file(1);
-        log.note_v4(v4(20));
-        assert_eq!(
-            log.into_canonical_order(),
-            vec![
-                ObservedIp::V4(v4(30)),
-                ObservedIp::V4(v4(10)),
-                ObservedIp::V4(v4(20)),
-            ]
-        );
+        log.note(v4(20));
+        assert_eq!(log.into_canonical_order(), vec![v4(30), v4(10), v4(20)]);
     }
 
     #[test]
     fn merge_is_commutative_and_keeps_min_position() {
         let mut a = ObservationLog::default();
         a.begin_file(0);
-        a.note_v4(v4(7));
-        a.note_v6(Ip6(9));
+        a.note(v4(7));
+        a.note(v6(9));
         let mut b = ObservationLog::default();
         b.begin_file(3);
-        b.note_v4(v4(7)); // later sighting of the same address
-        b.note_v4(v4(8));
+        b.note(v4(7)); // later sighting of the same address
+        b.note(v4(8));
 
         let mut ab = a.clone();
         ab.merge(b.clone());
@@ -181,20 +175,32 @@ mod tests {
     fn v4_and_v6_share_one_position_sequence() {
         let mut log = ObservationLog::default();
         log.begin_file(0);
-        log.note_v6(Ip6(1));
-        log.note_v4(v4(1));
-        assert_eq!(
-            log.into_canonical_order(),
-            vec![ObservedIp::V6(Ip6(1)), ObservedIp::V4(v4(1))]
-        );
+        log.note(v6(1));
+        log.note(v4(1));
+        assert_eq!(log.into_canonical_order(), vec![v6(1), v4(1)]);
         let mut log = ObservationLog::default();
         log.begin_file(0);
-        log.note_v4(v4(1));
-        log.note_v6(Ip6(1));
-        assert_eq!(
-            log.into_canonical_order(),
-            vec![ObservedIp::V4(v4(1)), ObservedIp::V6(Ip6(1))]
-        );
+        log.note(v4(1));
+        log.note(v6(1));
+        assert_eq!(log.into_canonical_order(), vec![v4(1), v6(1)]);
+    }
+
+    #[test]
+    fn families_with_equal_bits_stay_distinct_in_one_map() {
+        // `0.0.0.1` and `::1` tie on identifier bits: one map must keep
+        // both, each at its own first position, through a merge too.
+        let mut a = ObservationLog::default();
+        a.begin_file(0);
+        a.note(v4(1));
+        a.note(v6(1));
+        a.note(v4(1));
+        let mut b = ObservationLog::default();
+        b.begin_file(1);
+        b.note(v6(1));
+        b.note(v4(2));
+        a.merge(b);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.into_canonical_order(), vec![v4(1), v6(1), v4(2)]);
     }
 
     #[test]

@@ -79,157 +79,10 @@ pub trait Fs {
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
     /// Removes a file; used for staging cleanup and rollback.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Reads a whole file (resume verification).
+    /// Reads a whole file (batch input, resume verification).
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Does `path` exist?
     fn exists(&self, path: &Path) -> bool;
-    /// Reads a whole file for scanning, possibly as a memory-mapped
-    /// region ([`FileBytes::is_mapped`]) instead of an owned buffer.
-    ///
-    /// The default implementation is the buffered fallback — it
-    /// delegates to [`Fs::read`] — so every injectable filesystem
-    /// (notably `FaultFs`) inherits correct behavior, and the
-    /// mmap-vs-buffered identity property holds by construction for
-    /// them. [`StdFs`] overrides this on Linux for large files.
-    fn read_mapped(&self, path: &Path) -> io::Result<FileBytes> {
-        self.read(path).map(FileBytes::owned)
-    }
-}
-
-/// Smallest file, in bytes, that [`StdFs::read_mapped`] memory-maps.
-/// Below this a buffered read is faster (one small `read(2)` beats a
-/// page-table update plus minor faults) and the map would round up to a
-/// whole page anyway.
-pub const MMAP_MIN_LEN: u64 = 64 * 1024;
-
-/// Bytes of one input file: an owned buffer, or on Linux a read-only
-/// private memory mapping. Dereferences to `&[u8]` either way, so
-/// callers scan the two representations identically; the mapping is
-/// released on drop.
-pub struct FileBytes(FileBytesRepr);
-
-enum FileBytesRepr {
-    Owned(Vec<u8>),
-    #[cfg(target_os = "linux")]
-    Mapped(mmap_linux::Mmap),
-}
-
-impl FileBytes {
-    /// Wraps an owned buffer.
-    pub fn owned(bytes: Vec<u8>) -> FileBytes {
-        FileBytes(FileBytesRepr::Owned(bytes))
-    }
-
-    /// True when the bytes are a memory-mapped region rather than an
-    /// owned buffer (observability counters want the split).
-    pub fn is_mapped(&self) -> bool {
-        match &self.0 {
-            FileBytesRepr::Owned(_) => false,
-            #[cfg(target_os = "linux")]
-            FileBytesRepr::Mapped(_) => true,
-        }
-    }
-}
-
-impl std::ops::Deref for FileBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &self.0 {
-            FileBytesRepr::Owned(v) => v,
-            #[cfg(target_os = "linux")]
-            FileBytesRepr::Mapped(m) => m.as_slice(),
-        }
-    }
-}
-
-impl AsRef<[u8]> for FileBytes {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-/// Minimal read-only `mmap(2)` binding. Implemented against raw libc
-/// syscall wrappers (`std` already links libc on Linux) because this
-/// repo is dependency-free by policy; the `unsafe` surface is confined
-/// to this module and consists of the two FFI calls plus the
-/// slice-from-raw-parts view over the mapping.
-#[cfg(target_os = "linux")]
-mod mmap_linux {
-    use std::ffi::c_void;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// A read-only private mapping of one file.
-    pub struct Mmap {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ and never mutated or remapped
-    // after construction; the underlying pages are valid until `drop`
-    // calls `munmap`. Shared references to immutable memory are safe to
-    // send and share across threads.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        /// Maps `len` bytes of `file` read-only. `len` must be non-zero
-        /// (mmap rejects zero-length maps) and no larger than the file.
-        pub fn map(file: &std::fs::File, len: usize) -> io::Result<Mmap> {
-            debug_assert!(len > 0, "zero-length maps are the caller's fallback case");
-            // SAFETY: fd is a valid open file descriptor for the life of
-            // this call; we request a fresh address (addr = null) and a
-            // private read-only mapping, so no existing memory is
-            // affected.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as usize == usize::MAX {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Mmap { ptr, len })
-        }
-
-        /// The mapped bytes.
-        pub fn as_slice(&self) -> &[u8] {
-            // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
-            // bytes (established in `map`, released only in `drop`).
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` describe the mapping created in `map`,
-            // unmapped exactly once here.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
 }
 
 /// The production filesystem: plain `std::fs` plus real fsyncs.
@@ -276,21 +129,6 @@ impl Fs for StdFs {
         path.exists()
     }
 
-    /// On Linux, files of at least [`MMAP_MIN_LEN`] bytes are mapped
-    /// read-only instead of copied into a buffer; empty and small files,
-    /// and any file whose `mmap(2)` fails, fall back to the buffered
-    /// read. Either representation yields identical bytes.
-    #[cfg(target_os = "linux")]
-    fn read_mapped(&self, path: &Path) -> io::Result<FileBytes> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        if len >= MMAP_MIN_LEN {
-            if let Ok(map) = mmap_linux::Mmap::map(&file, len as usize) {
-                return Ok(FileBytes(FileBytesRepr::Mapped(map)));
-            }
-        }
-        self.read(path).map(FileBytes::owned)
-    }
 }
 
 /// Counters for the durability layer: what atomic persistence costs, so
@@ -550,54 +388,6 @@ mod tests {
         assert!(is_tmp_path(Path::new("/x/.out.anon.7.3.fsx-tmp")));
         assert!(!is_tmp_path(Path::new("/x/out.anon")));
         assert!(!is_tmp_path(Path::new("/x")));
-    }
-
-    #[test]
-    fn read_mapped_matches_buffered_read_at_every_size_class() {
-        // Below, at, and above the mmap threshold, plus empty: identical
-        // bytes from both paths, and on Linux the large file actually
-        // maps.
-        let dir = tmpdir("mmap");
-        let sizes = [
-            0usize,
-            17,
-            MMAP_MIN_LEN as usize - 1,
-            MMAP_MIN_LEN as usize,
-            MMAP_MIN_LEN as usize * 2 + 311,
-        ];
-        for (i, n) in sizes.into_iter().enumerate() {
-            let path = dir.join(format!("f{i}.cfg"));
-            let bytes: Vec<u8> = (0..n).map(|j| (j % 251) as u8).collect();
-            std::fs::write(&path, &bytes).expect("write");
-            let mapped = StdFs.read_mapped(&path).expect("read_mapped");
-            assert_eq!(&*mapped, &bytes[..], "size {n}");
-            assert_eq!(mapped.as_ref(), StdFs.read(&path).expect("read"), "size {n}");
-            if cfg!(target_os = "linux") {
-                assert_eq!(
-                    mapped.is_mapped(),
-                    n as u64 >= MMAP_MIN_LEN,
-                    "size {n} mapped-ness"
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mapped_bytes_outlive_scanning_threads() {
-        // The Send + Sync contract: a mapping can be scanned from worker
-        // threads, as the batch pipeline does with input text.
-        let dir = tmpdir("mmap-threads");
-        let path = dir.join("big.cfg");
-        let bytes = vec![0xA5u8; MMAP_MIN_LEN as usize];
-        std::fs::write(&path, &bytes).expect("write");
-        let mapped = StdFs.read_mapped(&path).expect("read_mapped");
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| assert!(mapped.iter().all(|&b| b == 0xA5)));
-            }
-        });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -41,6 +41,8 @@
 // modules keep the ergonomic forms.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(rustdoc::broken_intra_doc_links)]
+// The one `unsafe` in the crate is the `signal(2)` call in `signals`.
+#![deny(unsafe_code)]
 
 pub mod anonymizer;
 pub mod batch;
@@ -58,6 +60,7 @@ pub mod passlist;
 pub mod publish;
 pub mod rules;
 pub mod serve;
+#[allow(unsafe_code)]
 pub mod signals;
 pub mod state;
 pub mod stats;
@@ -68,7 +71,7 @@ pub use batch::{BatchInput, BatchOutput, BatchPipeline, BatchReport, FileDiscove
 pub use discover::{ObservationLog, ObservedIp};
 pub use error::{AnonError, BatchFailure, BatchPhase, StateErrorKind};
 pub use state::{AnonState, FileMark, StateView, STATE_FILE_NAME, STATE_SCHEMA};
-pub use fsx::{write_atomic, DurabilityStats, FileBytes, Fs, StdFs, MMAP_MIN_LEN};
+pub use fsx::{write_atomic, DurabilityStats, Fs, StdFs};
 pub use input::{sanitize_bytes, InputSanitation, MAX_LINE_LEN};
 pub use iterate::{iterate_to_closure, IterationTrace};
 pub use leak::{LeakRecord, LeakReport, LeakScanner};

@@ -2,7 +2,7 @@
 //!
 //! Paper §4.3. Two schemes are implemented:
 //!
-//! * [`IpAnonymizer`] — the scheme the paper ships: an extended version of
+//! * [`PrefixTrie`] — the scheme the paper ships: an extended version of
 //!   Minshall's tcpdpriv `-a50` table-based prefix-preserving mapping.
 //!   "We have found that using a data-structure-based mapping scheme makes
 //!   it easier to implement these requirements. By controlling how new
@@ -18,11 +18,19 @@
 //!   3. **collision remapping** — when an ordinary address's image lands
 //!      on a special value, the image is recursively re-mapped "until
 //!      there is no collision". Termination and injectivity are argued in
-//!      [`IpAnonymizer::anonymize`]'s docs and enforced by tests;
+//!      [`PrefixTrie::anonymize`]'s docs and enforced by tests;
 //!   4. **subnet-address preserving** — an address whose host part is all
 //!      zeros maps to another all-zeros-suffix address whenever the trie
 //!      nodes for that suffix are first created by it (best-effort, as in
 //!      the paper: a readability property, not a guarantee).
+//!
+//!   One generic type serves both address families. An
+//!   [`AddressFamily`] supplies only what differs: the width, the PRF
+//!   labels, the pinned leading bits and protected regions, the special
+//!   predicate and the remap guard. [`IpAnonymizer`] (`PrefixTrie<V4>`)
+//!   and [`Ip6Anonymizer`] (`PrefixTrie<V6>`) are aliases for the two
+//!   instances; for IPv6 the pinned bits are `2000::/3`'s, as there are
+//!   no classes.
 //!
 //! * [`CryptoPan`] — the stateless cryptographic scheme of Xu et al.,
 //!   which the paper credits with "very little state must be shared to
@@ -38,18 +46,44 @@
 //! re-running the anonymizer on the same network maps it consistently.
 
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 mod cryptopan;
 #[cfg(test)]
 mod pinned;
 mod scramble;
 mod trie;
-mod trie6;
 
 pub use cryptopan::CryptoPan;
 pub use scramble::RandomScramble;
-pub use trie::IpAnonymizer;
-pub use trie6::Ip6Anonymizer;
+pub use trie::{AddressFamily, Ip6Anonymizer, IpAnonymizer, PrefixTrie, V4, V6};
+
+/// Truncating back to an earlier node count undoes every insertion
+/// since, node for node: the structure digest returns to its value at
+/// the mark, and re-inserting the same addresses rebuilds exactly the
+/// trie a run without the rollback has.
+#[cfg(test)]
+fn truncate_restores_structure<F: AddressFamily>(
+    seed: u64,
+    base: Vec<F::Addr>,
+    undone: Vec<F::Addr>,
+) {
+    let mut anon = PrefixTrie::<F>::new(&seed.to_be_bytes());
+    for addr in base {
+        anon.anonymize(addr);
+    }
+    let (mark, digest) = (anon.node_count(), anon.structure_digest());
+    let mut straight = anon.clone();
+    for &addr in &undone {
+        anon.anonymize(addr);
+    }
+    anon.truncate(mark);
+    assert_eq!((anon.node_count(), anon.structure_digest()), (mark, digest));
+    for &addr in undone.iter().rev() {
+        assert_eq!(anon.anonymize(addr), straight.anonymize(addr));
+    }
+    assert_eq!(anon.structure_digest(), straight.structure_digest());
+}
 
 #[cfg(test)]
 mod property_tests {
@@ -108,29 +142,14 @@ mod property_tests {
         }
 
         /// Truncating back to an earlier node count undoes every
-        /// insertion since, node for node: the structure digest returns
-        /// to its value at the mark, and re-inserting the same addresses
-        /// rebuilds exactly the trie a run without the rollback has.
+        /// insertion since (see [`truncate_restores_structure`]).
         fn trie_truncate_restores_structure(
             base in vec_of(any::<u32>(), 0usize..40),
             undone in vec_of(any::<u32>(), 1usize..40),
             seed in any::<u64>()
         ) {
-            let mut anon = IpAnonymizer::new(&seed.to_be_bytes());
-            for &raw in &base {
-                anon.anonymize(Ip(raw));
-            }
-            let (mark, digest) = (anon.node_count(), anon.structure_digest());
-            let mut straight = anon.clone();
-            for &raw in &undone {
-                anon.anonymize(Ip(raw));
-            }
-            anon.truncate(mark);
-            assert_eq!((anon.node_count(), anon.structure_digest()), (mark, digest));
-            for &raw in undone.iter().rev() {
-                assert_eq!(anon.anonymize(Ip(raw)), straight.anonymize(Ip(raw)));
-            }
-            assert_eq!(anon.structure_digest(), straight.structure_digest());
+            let (base, undone) = (base.into_iter().map(Ip), undone.into_iter().map(Ip));
+            truncate_restores_structure::<V4>(seed, base.collect(), undone.collect());
         }
 
         /// Crypto-PAn baseline: prefix preserving and stateless
@@ -181,27 +200,14 @@ mod property_tests6 {
             assert_eq!(a.common_prefix_len(b), fa.common_prefix_len(fb));
         }
 
-        /// v6 twin of `trie_truncate_restores_structure`.
+        /// The v6 instance of [`truncate_restores_structure`].
         fn trie6_truncate_restores_structure(
             base in vec_of(any::<u128>(), 0usize..20),
             undone in vec_of(any::<u128>(), 1usize..20),
             seed in any::<u64>()
         ) {
-            let mut anon = Ip6Anonymizer::new(&seed.to_be_bytes());
-            for &raw in &base {
-                anon.anonymize(Ip6(raw));
-            }
-            let (mark, digest) = (anon.node_count(), anon.structure_digest());
-            let mut straight = anon.clone();
-            for &raw in &undone {
-                anon.anonymize(Ip6(raw));
-            }
-            anon.truncate(mark);
-            assert_eq!((anon.node_count(), anon.structure_digest()), (mark, digest));
-            for &raw in undone.iter().rev() {
-                assert_eq!(anon.anonymize(Ip6(raw)), straight.anonymize(Ip6(raw)));
-            }
-            assert_eq!(anon.structure_digest(), straight.structure_digest());
+            let (base, undone) = (base.into_iter().map(Ip6), undone.into_iter().map(Ip6));
+            truncate_restores_structure::<V6>(seed, base.collect(), undone.collect());
         }
 
         /// The total v6 map never outputs a special for ordinary input

@@ -542,27 +542,16 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     // Read and sanitize are separate phases: read is raw byte I/O,
     // sanitize is the hostile-input repair. Both re-run over the whole
     // corpus on --resume, so their counters stay resume-invariant.
-    // Large files arrive as read-only memory maps on Linux (zero-copy
-    // until sanitize), small ones as owned buffers; `FileBytes` derefs
-    // to `&[u8]` either way.
-    let mut raw: Vec<(String, confanon::core::FileBytes)> = Vec::with_capacity(paths.len());
+    let mut raw: Vec<(String, Vec<u8>)> = Vec::with_capacity(paths.len());
     let t_read = bin_obs.span_start();
     for p in &paths {
         let rel = p.strip_prefix(&dir).unwrap_or(p).to_string_lossy().to_string();
         let t_file = bin_obs.span_start();
-        match confanon::core::Fs::read_mapped(&StdFs, p) {
+        match confanon::core::Fs::read(&StdFs, p) {
             Ok(bytes) => {
                 bin_obs.span_end(&rel, "read", 0, t_file);
                 bin_obs.count("phase.read.files", 1);
                 bin_obs.count("phase.read.bytes", bytes.len() as u64);
-                bin_obs.count(
-                    if bytes.is_mapped() {
-                        "phase.read.mapped_files"
-                    } else {
-                        "phase.read.buffered_files"
-                    },
-                    1,
-                );
                 raw.push((rel, bytes));
             }
             Err(e) => {

@@ -1,29 +1,22 @@
 //! The zero-copy equivalence suite: differential properties pinning the
-//! borrow-or-own rewrite, the byte-class tokenizer dispatch, and the
-//! mmap read path to their straightforward baselines.
+//! borrow-or-own rewrite and the byte-class tokenizer dispatch to their
+//! straightforward baselines.
 //!
-//! Each optimized path in this PR keeps its predecessor in-tree — the
-//! clone-always emit (`disable_zero_copy`), the per-char scanners
-//! (`tokenize_chars`/`segment_chars`), the buffered `Fs::read` — and
-//! this suite proves the pairs indistinguishable on seeded and
-//! chaos-mutated inputs:
+//! Each optimized path keeps its predecessor in-tree — the clone-always
+//! emit (`disable_zero_copy`) and the per-char scanners
+//! (`tokenize_chars`/`segment_chars`) — and this suite proves the pairs
+//! indistinguishable on seeded and chaos-mutated inputs:
 //!
 //! 1. **Borrow verdict** — `anonymize_command_line` returns
 //!    `Cow::Borrowed` *exactly* when no byte of the line changed;
 //! 2. **Rewrite identity** — whole-config output bytes and per-rule
 //!    fire counts are equal with zero-copy on and off;
 //! 3. **Scanner identity** — the byte-table tokenizer and segmenter
-//!    agree with the per-char references on arbitrary mutated lines;
-//! 4. **Read-path identity** — `read_mapped` returns the same bytes as
-//!    `read` for every size class, on `StdFs` (real mmap above the
-//!    threshold) and on `FaultFs` (default-method fallback).
+//!    agree with the per-char references on arbitrary mutated lines.
 
 use std::borrow::Cow;
-use std::path::PathBuf;
 
-use confanon::core::{
-    sanitize_bytes, Anonymizer, AnonymizerConfig, Fs, StdFs, MMAP_MIN_LEN,
-};
+use confanon::core::{sanitize_bytes, Anonymizer, AnonymizerConfig};
 use confanon::iosparse::{segment, segment_chars, tokenize, tokenize_chars};
 use confanon_testkit::chaos::ChaosMutator;
 use confanon_testkit::props::{any, pattern, Strategy};
@@ -147,105 +140,4 @@ confanon_testkit::props! {
             }
         }
     }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("confanon-zerocopy-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("mk tmpdir");
-    d
-}
-
-/// `read_mapped` vs. `read` identity at every size class, on both the
-/// real filesystem (which maps files at or above [`MMAP_MIN_LEN`]) and
-/// the fault injector (which inherits the trait's buffered default —
-/// identity by construction, pinned here so an override would have to
-/// re-prove it).
-#[test]
-fn read_mapped_is_read_on_std_and_fault_fs() {
-    let dir = tmpdir("readpath");
-    let fault = confanon_testkit::faultfs::FaultFs::quiet(2004);
-    let sizes = [
-        0usize,
-        1,
-        4096,
-        MMAP_MIN_LEN as usize - 1,
-        MMAP_MIN_LEN as usize,
-        2 * MMAP_MIN_LEN as usize + 17,
-    ];
-    for (i, size) in sizes.into_iter().enumerate() {
-        let bytes: Vec<u8> = (0..size).map(|b| (b * 31 % 251) as u8).collect();
-        let path = dir.join(format!("f{i}.cfg"));
-        std::fs::write(&path, &bytes).expect("write fixture");
-
-        let buffered = Fs::read(&StdFs, &path).expect("std read");
-        let mapped = Fs::read_mapped(&StdFs, &path).expect("std read_mapped");
-        assert_eq!(&*mapped, buffered.as_slice(), "StdFs size {size}");
-
-        let fb = Fs::read(&fault, &path).expect("faultfs read");
-        let fm = Fs::read_mapped(&fault, &path).expect("faultfs read_mapped");
-        assert_eq!(&*fm, fb.as_slice(), "FaultFs size {size}");
-        assert!(
-            !fm.is_mapped(),
-            "FaultFs must inherit the buffered default, size {size}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// An anonymization run fed through `read_mapped` produces the same
-/// released bytes as one fed through buffered `read` — the corpus-level
-/// closure of the per-file identity above.
-#[test]
-fn pipeline_output_identical_across_read_paths() {
-    let ds = confanon::confgen::generate_dataset(&confanon::confgen::DatasetSpec {
-        seed: 0x7e5d,
-        networks: 1,
-        mean_routers: 3,
-        backbone_fraction: 0.5,
-    });
-    let dir = tmpdir("pipeline");
-    let mut names: Vec<PathBuf> = Vec::new();
-    for r in &ds.networks[0].routers {
-        // Tile each config past MMAP_MIN_LEN so the mapped arm actually
-        // exercises mmap on at least some files.
-        let mut text = String::new();
-        while text.len() <= MMAP_MIN_LEN as usize {
-            text.push_str(&r.config);
-        }
-        let p = dir.join(format!("{}.cfg", r.hostname));
-        std::fs::write(&p, text.as_bytes()).expect("write corpus file");
-        names.push(p);
-    }
-
-    let corpus_via = |mapped: bool| -> Vec<(String, String)> {
-        names
-            .iter()
-            .map(|p| {
-                let bytes: Vec<u8> = if mapped {
-                    Fs::read_mapped(&StdFs, p).expect("read_mapped").to_vec()
-                } else {
-                    Fs::read(&StdFs, p).expect("read")
-                };
-                let (text, _) = sanitize_bytes(&bytes);
-                (p.file_name().unwrap().to_string_lossy().into_owned(), text)
-            })
-            .collect()
-    };
-
-    let run = |files: &[(String, String)]| -> Vec<(String, String)> {
-        let cfg = AnonymizerConfig::new(b"readpath-secret".to_vec());
-        let run = confanon::workflow::anonymize_corpus_gated(files, cfg, 2);
-        run.clean
-            .into_iter()
-            .map(|o| (o.name, o.text))
-            .collect()
-    };
-
-    assert_eq!(
-        run(&corpus_via(true)),
-        run(&corpus_via(false)),
-        "released bytes must not depend on the read path"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
