@@ -1,17 +1,20 @@
 //! Primitive costs: SHA-1, HMAC, token hashing, ASN permutation.
 //!
 //! Every non-pass-list token costs one salted SHA-1 (§4.1); every located
-//! ASN costs a Feistel walk. These numbers bound the whole pipeline.
+//! ASN costs a Feistel walk; every fresh trie node costs one keyed bit of
+//! its input path (§4.3). These numbers bound the whole pipeline. The
+//! SHA-1 kernel depends on the CPU, so the suite prints it with its rows.
 
 use std::hint::black_box;
 
 use confanon_asnanon::AsnMap;
 use confanon_bench::finish_suite;
-use confanon_crypto::{FeistelPermutation, HmacSha1, Sha1, TokenHasher};
+use confanon_crypto::{sha1, FeistelPermutation, HmacSha1, Prf, Sha1, TokenHasher};
 use confanon_testkit::bench::Runner;
 
 fn main() {
     let mut r = Runner::new("crypto");
+    println!("sha1 kernel: {}", sha1::kernel());
 
     for n in [64usize, 1024, 65536] {
         let data = vec![0xABu8; n];
@@ -22,6 +25,13 @@ fn main() {
 
     let mac = HmacSha1::new(b"owner-secret");
     r.bench("hmac_short", || black_box(mac.mac(b"UUNET-import")));
+    // The trie's call: one keyed bit of a 4-byte left-aligned v4 path.
+    let prf = Prf::new(b"owner-secret");
+    let mut path = 0u32;
+    r.bench("prf_bit_v4_path", || {
+        path = path.wrapping_add(0x9E37_79B9);
+        black_box(prf.bit("iptrie", &path.to_be_bytes()))
+    });
     let hasher = TokenHasher::new(b"owner-secret");
     r.bench("hash_token", || black_box(hasher.hash_token("UUNET-import")));
 

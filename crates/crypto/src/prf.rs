@@ -30,7 +30,9 @@ impl Prf {
     pub fn bytes(&self, domain: &str, input: &[u8]) -> [u8; 20] {
         // NUL separator keeps the concatenation unambiguous (domains are
         // ASCII, no NULs); `mac_parts` feeds the pieces straight into the
-        // hash so no message buffer is allocated.
+        // hash so no message buffer is allocated. Up to 55 bytes in all
+        // is one inner block: a trie bit hashes 11 (`iptrie`, NUL, a
+        // 4-byte v4 path) or 24 (`ip6trie`, NUL, 16 bytes).
         self.mac.mac_parts(&[domain.as_bytes(), &[0], input])
     }
 

@@ -46,7 +46,6 @@
 //! re-running the anonymizer on the same network maps it consistently.
 
 #![deny(rustdoc::broken_intra_doc_links)]
-#![forbid(unsafe_code)]
 
 mod cryptopan;
 #[cfg(test)]

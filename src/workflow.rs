@@ -293,10 +293,18 @@ impl GatedCorpusRun {
     /// calls and nodes created (v4 + v6, roots excluded). A warm run
     /// rebuilds its tries by journal replay, so these count the replay
     /// too and differ from the cold run's; hence this section.
+    ///
+    /// `crypto.sha1_kernel` names the SHA-1 compression body this host
+    /// ran (`"sha-ni"` or `"portable"`): the keyed-hash cost behind every
+    /// span depends on it, while no output byte does.
     pub fn metrics_timing_json(&self) -> Json {
         let (trie4, trie6) = self.anonymizer.trie_node_counts();
         Json::obj()
             .with("jobs", self.jobs as u64)
+            .with(
+                "crypto",
+                Json::obj().with("sha1_kernel", confanon_crypto::sha1::kernel()),
+            )
             .with(
                 "trie",
                 Json::obj()

@@ -342,9 +342,23 @@ fn timing_section_carries_spans_and_is_separate() {
     let (n4, n6) = run.anonymizer.trie_node_counts();
     assert_eq!(nodes, (n4 + n6 - 2) as u64);
 
+    // The SHA-1 kernel is a property of the host, so it is timing data.
+    let kernel = timing
+        .get("crypto")
+        .and_then(|c| c.get("sha1_kernel"))
+        .and_then(Json::as_str)
+        .expect("timing.crypto.sha1_kernel");
+    assert_eq!(kernel, confanon::crypto::sha1::kernel());
+    assert!(["sha-ni", "portable"].contains(&kernel), "kernel {kernel:?}");
+
     let det = run.metrics_deterministic_json();
     assert!(det.get("spans").is_none(), "spans are wall-clock data");
     assert!(det.get("trie").is_none(), "trie work counts the process's replay");
+    assert!(det.get("crypto").is_none(), "the SHA-1 kernel depends on the host");
+    assert!(
+        !det.to_string_pretty().contains("sha1_kernel"),
+        "the SHA-1 kernel leaked into the deterministic section"
+    );
     let counters = det.get("counters").expect("counters");
     if let Json::Obj(pairs) = counters {
         for (k, _) in pairs {

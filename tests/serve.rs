@@ -136,6 +136,9 @@ impl Daemon {
 
     #[cfg(unix)]
     fn sigterm(&self) {
+        // SAFETY: `kill(2)` takes plain integers; the pid is our own
+        // still-unreaped child, so the signal cannot reach a reused pid.
+        #[allow(unsafe_code)]
         unsafe {
             kill(self.child.id() as i32, 15);
         }
@@ -739,9 +742,12 @@ fn batch_sigterm_exits_resumable_and_resume_completes() {
         .expect("golden batch");
     assert!(status.success());
 
-    // Interrupted run: SIGTERM lands mid-run (the corpus is large
-    // enough that 200 ms in, the pipeline is still working), the
-    // publish loop stops after the in-flight atomic write, exit 5.
+    // Interrupted run: SIGTERM lands mid-run, the publish loop stops
+    // after the in-flight atomic write, exit 5. The batch installs its
+    // handler first, then writes an all-pending manifest durably, and
+    // only then anonymizes and publishes. So the signal goes out as soon
+    // as that manifest is visible: from then on the whole anonymization
+    // and every publish lie ahead, however fast the binary is.
     let out = root.join("out-interrupted");
     let mut child = bin()
         .args(["batch", "--secret", "term-secret"])
@@ -752,7 +758,18 @@ fn batch_sigterm_exits_resumable_and_resume_completes() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn batch");
-    std::thread::sleep(Duration::from_millis(200));
+    let manifest = out.join("run_manifest.json");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !manifest.exists() {
+        if let Ok(Some(status)) = child.try_wait() {
+            panic!("batch exited ({status}) before writing its manifest");
+        }
+        assert!(Instant::now() < deadline, "batch never wrote its manifest");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // SAFETY: `kill(2)` takes plain integers; the pid is our own
+    // still-unreaped child, so the signal cannot reach a reused pid.
+    #[allow(unsafe_code)]
     unsafe {
         kill(child.id() as i32, 15);
     }

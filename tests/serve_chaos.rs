@@ -565,10 +565,10 @@ fn arrivals_past_the_connection_bound_are_shed_with_a_retry_hint() {
     drop(holder);
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut backoff = Backoff::new(7, 10, 200);
-    let reply = loop {
+    let (reply, mut c) = loop {
         if let Ok(mut c) = ServeClient::connect(&daemon.endpoint) {
             match c.anon_with_backoff("alpha", "r.cfg", b"hostname r\n", 5, &mut backoff) {
-                Ok(r) if r.status == "OK" => break r,
+                Ok(r) if r.status == "OK" => break (r, c),
                 _ => {}
             }
         }
@@ -577,7 +577,9 @@ fn arrivals_past_the_connection_bound_are_shed_with_a_retry_hint() {
     };
     assert_eq!(reply.status, "OK");
 
-    let mut c = daemon.connect();
+    // Shut down over the connection that holds the one slot: a fresh
+    // connection could arrive before the daemon has seen this one close
+    // and be shed.
     assert_eq!(c.shutdown().expect("shutdown").status, "BYE");
     assert!(daemon.wait().success());
     let _ = std::fs::remove_dir_all(&root);
